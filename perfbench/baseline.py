@@ -27,18 +27,9 @@ import time
 DEFAULT_SEED = 1
 HELD_OUT_SEED = 1009
 
-# Generator parameters per workload, as the workload modules set them.
-GENERATORS = {
-    "active_lp": "100 Generate.slotted (g=3, horizon 2n, max_length 4, slack 4, n spread over 40-160) "
-                 "+ 34 Gadgets.lp1_tall (g=4, 24-32 jobs, length 3), shuffled; registry rounding",
-    "busy_flex": "400 sets alternating Generate.flexible_jobs / diurnal_flexible_jobs (g=4, horizon n/2, "
-                 "n spread over 100-400), shuffled; every 4th op preemptive, the rest greedy placement + greedy-tracking",
-    "serve_mixed": "open loop, 4 requests/s, 1 worker domain, queue 64; per 20 requests 3 active cascades "
-                   "(Generate.slotted n=40 g=3) + 2 busy cascades (Generate.flexible_jobs n=60 horizon 60 g=4), "
-                   "budget 20000 each, 8 rounding, 2 greedy-tracking, 1 lp-bound re-ask, 4 exact repeats",
-    "sim_rolling": "170 Generate.timed_slotted traces (g=3, horizon 2n, max_length 4, slack 5, n spread over 24-40), "
-                   "shuffled; Sim.Rolling.default_config",
-}
+# Figures bench.exe prints in its table but not in its JSON line.
+TABLE_ONLY = ["failed_frac", "degraded_frac", "miss_frac", "ops", "unverified", "bound_only",
+              "wall_ms_p50", "wall_ms_p90", "wall_throughput_ops_s", "reference_ms"]
 
 
 def seeds_of(spec):
@@ -56,7 +47,13 @@ def run(bench, workload, seed, seconds, trace):
     elapsed = time.monotonic() - start
     if out.returncode != 0:
         sys.exit(f"{workload} seed {seed}: exit {out.returncode}\n{out.stderr}")
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    lines = out.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    # the benchmark prints its generator parameters from its own constants
+    result["generator"] = next((l.split(":", 1)[1].strip() for l in lines if l.startswith("generator:")), None)
+    # the table-only figures, for the record
+    result["table"] = {l.split()[0]: float(l.split()[1]) for l in lines
+                       if l.startswith("  ") and len(l.split()) == 3 and l.split()[0] in TABLE_ONLY}
     if not result["correct"] or result["failed"]:
         print(f"  {workload} seed {seed}: correct={result['correct']} failed={result['failed']}\n{out.stderr}")
     result["elapsed_s"] = elapsed
@@ -93,8 +90,10 @@ def main():
     metrics = bench["per_layer"] if args.trace else bench["end_to_end"]
     bounds = {m["name"]: m.get("bound") for m in metrics}
     summary = {}
+    generators = {}
     for w in workloads:
         results = [run(bench, w, s, seconds, args.trace) for s in seeds_of(args.seeds)]
+        generators[w] = results[0]["generator"]
         walls = [r["elapsed_s"] for r in results]
         print(f"{w}: {len(results)} runs, attempted {[r['attempted'] for r in results]}, "
               f"wall per run {statistics.mean(walls):.1f} s (max {max(walls):.1f} s)")
@@ -111,13 +110,22 @@ def main():
             print(f"  {name:28s} {med:14.6g} {m['unit']:6s} q1 {q1:.6g} q3 {q3:.6g} spread {spread:.4f}{flag}")
             if args.verbose:
                 print("      " + " ".join(f"{v:.5g}" for v in vals))
+        if not args.trace:
+            table = {name: statistics.median(r["table"][name] for r in results)
+                     for name in TABLE_ONLY if all(name in r["table"] for r in results)}
+            summary[w]["table_medians"] = table
+            print("  table medians: " + ", ".join(f"{k} {v:.5g}" for k, v in table.items()))
     if args.out:
         doc = json.load(open(args.out)) if os.path.exists(args.out) else {}
         doc["environment"] = stamp()
         doc["run_seconds"] = seconds
         doc["seeds"] = {"default": DEFAULT_SEED, "held_out": HELD_OUT_SEED}
-        doc["workloads"] = {w["name"]: {"why": w["why"], "generator": GENERATORS[w["name"]]}
-                            for w in bench["workloads"]}
+        recorded = doc.setdefault("workloads", {})
+        for w in bench["workloads"]:
+            entry = recorded.setdefault(w["name"], {})
+            entry["why"] = w["why"]
+            if w["name"] in generators:
+                entry["generator"] = generators[w["name"]]
         section = doc.setdefault("per_layer" if args.trace else "end_to_end", {})
         section["seeds"] = seeds_of(args.seeds)
         section.setdefault("workloads", {}).update(summary)

@@ -19,11 +19,12 @@ let end_to_end =
    count, the answers the checker could not check in full -- infeasible
    verdicts (unverified) and preemptive or LP-bound answers, where only
    cost >= mass bound is checked (bound-only) -- the raw wall-clock op
-   latency and the reference kernel's time (see Serial.end_to_end). *)
+   latency and throughput, and the reference kernels' time (see
+   Serial.end_to_end). *)
 let table_only =
   [ ("failed_frac", "ratio"); ("degraded_frac", "ratio"); ("miss_frac", "ratio"); ("ops", "count");
     ("unverified", "count"); ("bound_only", "count"); ("wall_ms_p50", "ms"); ("wall_ms_p90", "ms");
-    ("reference_ms", "ms") ]
+    ("wall_throughput_ops_s", "ops/s"); ("reference_ms", "ms") ]
 
 (* (name, unit) of the per-layer metrics in the traced JSON line; a
    metric a workload does not exercise reads 0. *)
@@ -46,9 +47,12 @@ let per_layer =
     ("self.serve_ms", "ms"); ("self.sim_ms", "ms"); ("self.obs_ms", "ms"); ("self.other_ms", "ms");
     ("trace.coverage_frac", "ratio"); ("trace.op_ms_p50", "ms"); ("trace.overhead_ms", "ms") ]
 
+(* name, run, generator parameters *)
 let workloads =
-  [ ("active_lp", Wl_active.run_workload); ("busy_flex", Wl_busy.run_workload);
-    ("serve_mixed", Wl_serve.run_workload); ("sim_rolling", Wl_sim.run_workload) ]
+  [ ("active_lp", (Wl_active.run_workload, Wl_active.generator));
+    ("busy_flex", (Wl_busy.run_workload, Wl_busy.generator));
+    ("serve_mixed", (Wl_serve.run_workload, Wl_serve.generator));
+    ("sim_rolling", (Wl_sim.run_workload, Wl_sim.generator)) ]
 
 let usage () =
   prerr_endline
@@ -67,7 +71,7 @@ let () =
     | _ -> usage ()
   in
   (try parse (List.tl (Array.to_list Sys.argv)) with Failure _ -> usage ());
-  let run = match List.assoc_opt !workload workloads with Some f -> f | None -> usage () in
+  let run, generator = match List.assoc_opt !workload workloads with Some w -> w | None -> usage () in
   let r = run ~seed:!seed ~seconds:!seconds ~trace:!trace in
   let value name =
     match List.assoc_opt name r.Serial.metrics with
@@ -78,6 +82,7 @@ let () =
   let shown = if !trace then per_layer else end_to_end @ table_only in
   Printf.printf "workload %s  seed %d  seconds %g  trace %d\n" !workload !seed !seconds
     (if !trace then 1 else 0);
+  Printf.printf "generator: %s\n" generator;
   List.iter (fun (name, unit) -> Printf.printf "  %-28s %14.6g %s\n" name (value name) unit) shown;
   let metrics = if !trace then per_layer else end_to_end in
   if !trace then begin

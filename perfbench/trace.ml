@@ -113,7 +113,10 @@ let write path =
 let counts : (string, float) Hashtbl.t = Hashtbl.create 32
 
 let counted name = Option.value ~default:0.0 (Hashtbl.find_opt counts name)
-let count name v = Hashtbl.replace counts name (v +. counted name)
+
+(* Adds [v] to counter [name] while tracing is on; the staged replay
+   with tracing off adds nothing. *)
+let count name v = if !enabled then Hashtbl.replace counts name (v +. counted name)
 
 let add_counters obs names =
   let cs = Obs.counters obs in

@@ -11,23 +11,42 @@ module J = Obs.Json
 module CR = Core.Result
 
 let random_count = 100
+let n_min = 40
+let n_max = 160
 let tall_count = 34
+let tall_g = 4
+let tall_jobs_min = 24
+let tall_jobs_max = 32
+let tall_length = 3
 
 let params n : Workload.Generate.slotted_params =
   { n; horizon = 2 * n; max_length = 4; slack = 4; g = 3 }
+
+(* [count] values spread evenly over [lo, hi]. *)
+let spread ~count lo hi i = lo + ((hi - lo) * i / (count - 1))
 
 let generate ~seed =
   let st = Random.State.make [| seed; 1 |] in
   let random =
     List.init random_count (fun i ->
-        let n = 40 + (120 * i / (random_count - 1)) in
+        let n = spread ~count:random_count n_min n_max i in
         Workload.Generate.slotted ~params:(params n) ~seed:(Random.State.bits st) ())
   in
   let tall =
     List.init tall_count (fun i ->
-        Workload.Gadgets.lp1_tall ~g:4 ~jobs:(24 + (8 * i / (tall_count - 1))) ~length:3)
+        Workload.Gadgets.lp1_tall ~g:tall_g
+          ~jobs:(spread ~count:tall_count tall_jobs_min tall_jobs_max i)
+          ~length:tall_length)
   in
   Serial.shuffle st (Array.of_list (random @ tall))
+
+let generator =
+  let p = params n_min in
+  Printf.sprintf
+    "%d Generate.slotted (g=%d, horizon 2n, max_length %d, slack %d, n spread over %d-%d) + %d \
+     Gadgets.lp1_tall (g=%d, %d-%d jobs, length %d), shuffled; registry rounding"
+    random_count p.g p.max_length p.slack n_min n_max tall_count tall_g tall_jobs_min tall_jobs_max
+    tall_length
 
 type answer = { cost : int option; open_slots : int list; schedule : S.schedule }
 
@@ -117,11 +136,11 @@ let layer ~ops () =
 
 let run_workload ~seed ~seconds ~trace =
   let (insts, pool), setup_s =
-    Serial.repeat_setup ~times:5 (fun () ->
+    Serial.repeat_setup (fun () ->
         let insts = generate ~seed in
         let pool = Array.map (fun i -> Io.to_string (Io.Slotted_instance i)) insts in
         (* the warm-up op is the same on every seed *)
-        ignore (run (Io.to_string (Io.Slotted_instance (Workload.Generate.slotted ~params:(params 40) ~seed:0 ()))));
+        ignore (run (Io.to_string (Io.Slotted_instance (Workload.Generate.slotted ~params:(params n_min) ~seed:0 ()))));
         (insts, pool))
   in
   let w =
@@ -146,4 +165,4 @@ let run_workload ~seed ~seconds ~trace =
     }
   in
   let o = Serial.measure w ~seconds:(if trace then seconds /. 3.0 else seconds) ~full_pass:(not trace) ~trace in
-  Serial.result o ~setup_s ~trace ~layer:(layer ~ops:(List.length o.Serial.traced_latencies))
+  Serial.result o ~setup_s ~trace ~layer:(layer ~ops:(List.length o.Serial.traced))

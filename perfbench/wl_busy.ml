@@ -14,6 +14,8 @@ module CI = Core.Instance
 
 let g = 4
 let count = 400
+let n_min = 100
+let n_max = 400
 
 (* Every fourth op is preemptive; the rest alternate the two flexible
    generators. *)
@@ -25,11 +27,17 @@ let generate ~seed =
   let st = Random.State.make [| seed; 2 |] in
   let sets =
     List.init count (fun i ->
-        let n = 100 + (300 * i / (count - 1)) and s = Random.State.bits st in
+        let n = n_min + ((n_max - n_min) * i / (count - 1)) and s = Random.State.bits st in
         if i mod 2 = 0 then Workload.Generate.flexible_jobs ~n ~horizon:(n / 2) ~seed:s ()
         else Workload.Generate.diurnal_flexible_jobs ~n ~horizon:(n / 2) ~seed:s ())
   in
   Serial.shuffle st (Array.of_list sets)
+
+let generator =
+  Printf.sprintf
+    "%d sets alternating Generate.flexible_jobs / diurnal_flexible_jobs (g=%d, horizon n/2, n spread \
+     over %d-%d), shuffled; every 4th op preemptive, the rest greedy placement + greedy-tracking"
+    count g n_min n_max
 
 type answer = { cost : Q.t; bundles : B.t list list }
 
@@ -132,11 +140,11 @@ let layer () =
 
 let run_workload ~seed ~seconds ~trace =
   let (sets, pool), setup_s =
-    Serial.repeat_setup ~times:5 (fun () ->
+    Serial.repeat_setup (fun () ->
         let sets = generate ~seed in
         let pool = Array.map (fun jobs -> Io.to_string (Io.Busy_instance jobs)) sets in
         (* the warm-up op is the same on every seed *)
-        ignore (run Placed (Io.to_string (Io.Busy_instance (Workload.Generate.flexible_jobs ~n:100 ~horizon:50 ~seed:0 ()))));
+        ignore (run Placed (Io.to_string (Io.Busy_instance (Workload.Generate.flexible_jobs ~n:n_min ~horizon:(n_min / 2) ~seed:0 ()))));
         (sets, pool))
   in
   let w =

@@ -1,19 +1,27 @@
-(* serve_mixed: the request mix of the [atbt serve] daemon. The
-   benchmark generates the requests: cascade requests (explicit 20k-tick
-   budget) on active instances (n=40) and flexible busy instances
-   (n=60), direct rounding and greedy-tracking requests, exact repeats
-   (memo hits) and earlier active instances re-asked with lp-bound (memo
-   misses that share an LP shape, so basis-cache hits). No request
-   carries deadline_ms, so every answer is deterministic.
+(* serve_mixed: a request mix through the [atbt serve] daemon's own loop,
+   Serve.run_stream. The benchmark generates the requests: cascade
+   requests (explicit 20k-tick budget) on active instances (n=40) and
+   flexible busy instances (n=60), direct rounding and greedy-tracking
+   requests, exact repeats (memo hits) and earlier active instances
+   re-asked with lp-bound (memo misses that share an LP shape, so
+   basis-cache hits). No request carries deadline_ms, so every answer is
+   deterministic.
 
-   The end-to-end run handles the requests one after another on the
-   path a worker runs (decode, memo, registry solve under the request's
-   budget with the session's basis cache, verify, encode), timed like
-   the other single-domain workloads. The daemon itself --
-   open loop, queue, worker domains, ordered output -- runs in the
-   traced run, whose layer metrics have no bound: on a 2-vCPU VM the
-   quartile spread of its due-to-emit latency over seeds was 31-54%,
-   wider than any bound the benchmark may set. *)
+   The shares of the mix are chosen, not measured: the repository holds
+   no record of real serve traffic, and the issue that defined this
+   workload names the kinds of request but not how often each occurs.
+   [pattern] fixes them; [generator] prints them.
+
+   The end-to-end run is a closed loop through Serve.run_stream with one
+   worker domain: the daemon is handed request k+1 only after it has
+   emitted response k, and each request is timed from the moment the
+   daemon takes its line to the moment its response line is emitted.
+   Each pass over the plan starts a fresh daemon, so every pass sees the
+   same memo and basis-cache hits. The traced run adds an open loop --
+   requests due at [rate] per second, [open_domains] worker domains,
+   each timed from its due time -- whose figures are layer metrics
+   without a bound: on a 2-vCPU VM their quartile spread over seeds was
+   31-54%, wider than any bound the benchmark may set. *)
 
 module S = Workload.Slotted
 module B = Workload.Bjob
@@ -24,20 +32,26 @@ module P = Serve.Protocol
 module CR = Core.Result
 module CI = Core.Instance
 
-let rate = 4.0
 let budget = 20_000
+let active_n = 40
+let busy_n = 60
 let busy_g = 4
-let domains = 2
+let rate = 4.0
+let open_domains = 2
 let queue = 64
+
+(* The plan a run replays; a closed-loop pass over it takes about 13 s
+   on a 2-vCPU VM. *)
+let plan_length = 300
 
 type base = Active_inst of S.t | Busy_inst of B.t list
 
 type request = {
   algorithm : string;
-  base : base;
+  base : base;  (** the generated instance, which only the checker reads *)
   fresh : bool;  (** not a repeat of an earlier request line *)
   origin : int;  (** the request this one repeats; its own index when fresh *)
-  line : string;
+  line : string;  (** what the daemon receives *)
 }
 
 (* The mix, repeated every 20 requests: 2 active and 1 busy cascade, 10
@@ -56,6 +70,28 @@ let pattern =
      Cascade_busy; Rounding; Lp_bound; Rounding; Repeat Cascade_active; Rounding; Cascade_active;
      Rounding; Greedy_tracking; Rounding; Lp_bound; Repeat Cascade_busy; Rounding |]
 
+let active_params : Workload.Generate.slotted_params =
+  { n = active_n; horizon = 2 * active_n; max_length = 4; slack = 4; g = 3 }
+
+let generator =
+  let count p = Array.fold_left (fun c s -> if p s then c + 1 else c) 0 pattern in
+  Printf.sprintf
+    "plan of %d requests, per %d: %d active cascades (Generate.slotted n=%d, g=%d) + %d busy \
+     cascades (Generate.flexible_jobs n=%d, horizon %d, g=%d), budget %d each, %d rounding, %d \
+     greedy-tracking, %d lp-bound re-asks, %d exact repeats (shares chosen, not measured); closed \
+     loop, 1 worker domain; traced run adds an open loop at %g requests/s, %d worker domains, \
+     queue %d"
+    plan_length (Array.length pattern)
+    (count (( = ) Cascade_active))
+    active_n active_params.g
+    (count (( = ) Cascade_busy))
+    busy_n busy_n busy_g budget
+    (count (( = ) Rounding))
+    (count (( = ) Greedy_tracking))
+    (count (( = ) Lp_bound))
+    (count (function Repeat _ -> true | _ -> false))
+    rate open_domains queue
+
 let render ~id ~algorithm base =
   let text, g =
     match base with
@@ -69,21 +105,16 @@ let render ~id ~algorithm base =
 let plan ~seed ~n =
   let st = Random.State.make [| seed; 4 |] in
   let active () =
-    let n = 40 in
-    Active_inst
-      (Workload.Generate.slotted
-         ~params:{ n; horizon = 2 * n; max_length = 4; slack = 4; g = 3 }
-         ~seed:(Random.State.bits st) ())
+    Active_inst (Workload.Generate.slotted ~params:active_params ~seed:(Random.State.bits st) ())
   in
   let busy () =
-    Busy_inst (Workload.Generate.flexible_jobs ~n:60 ~horizon:60 ~seed:(Random.State.bits st) ())
+    Busy_inst (Workload.Generate.flexible_jobs ~n:busy_n ~horizon:busy_n ~seed:(Random.State.bits st) ())
   in
   let reqs = Array.make n None in
   let fresh k algorithm base =
     { algorithm; base; fresh = true; origin = k; line = render ~id:k ~algorithm base }
   in
-  (* an earlier fresh request at least 4 back (so usually answered and
-     memoized by now) satisfying [p] *)
+  (* an earlier fresh request at least 4 back satisfying [p] *)
   let earlier k p =
     let c = List.filter_map (fun j -> match reqs.(j) with Some r when p r -> Some r | _ -> None)
         (List.init (max 0 (k - 3)) Fun.id) in
@@ -117,9 +148,9 @@ let plan ~seed ~n =
   done;
   Array.map Option.get reqs
 
-let config () = { (Serve.default_config ()) with domains; queue_capacity = queue; timing = true }
+let config ~domains = { (Serve.default_config ()) with domains; queue_capacity = queue; timing = true }
 
-(* ---------------------------------------------------------- the loop -- *)
+(* ----------------------------------------------------------- responses -- *)
 
 type response = {
   status : string;
@@ -154,17 +185,255 @@ let parse_response line =
         attempts;
       }
 
-type stream = {
+let answered r = List.mem r.status [ "ok"; "degraded"; "infeasible" ]
+
+(* ---------------------------------------------------------- closed loop -- *)
+
+type pass = {
   responses : response array;
-  latency : float array;  (** ms, due time to response emitted *)
-  lag_max : float;  (** ms the generator ran late at worst *)
-  counters : (string * int) list;
+  cpu_ms : float list;  (** per request, line taken to response emitted *)
+  wall_ms : float list;
+  counters : (string * int) list;  (** the daemon's own *)
 }
 
-(* Offers [lines] at [rate] per second: request k is due k/rate s after
-   the daemon asks for its first line, and is timed from that due time,
-   so a stall also delays the requests behind it. *)
-let run_stream lines =
+(* One closed-loop pass over [lines] through a fresh daemon with one
+   worker domain: the daemon is handed request k+1 only after it has
+   emitted response k. Stops early once [stop ()] holds; calibrates
+   [speed] between requests, never inside one. *)
+let closed_pass ~speed ~stop lines =
+  let n = Array.length lines in
+  let m = Mutex.create () and emitted_one = Condition.create () in
+  let handed = ref 0 and emitted = ref 0 in
+  let c0 = ref 0.0 and w0 = ref 0.0 in
+  let out = ref [] in
+  let next_line () =
+    Mutex.protect m (fun () -> while !emitted < !handed do Condition.wait emitted_one m done);
+    let k = !handed in
+    if k >= n || stop () then None
+    else begin
+      Meas.calibrate speed;
+      handed := k + 1;
+      c0 := Meas.cpu ();
+      w0 := Meas.now ();
+      Some lines.(k)
+    end
+  in
+  (* the daemon calls [emit] on its worker domain, in request order *)
+  let emit line =
+    let c = Meas.cpu () and w = Meas.now () in
+    Mutex.protect m (fun () ->
+        out := (line, (c -. !c0) *. 1000.0, (w -. !w0) *. 1000.0) :: !out;
+        incr emitted;
+        Condition.signal emitted_one)
+  in
+  let obs = Obs.create () in
+  (match Serve.run_stream ~obs ~config:(config ~domains:1) ~next_line ~emit () with
+  | None -> ()
+  | Some e -> raise e);
+  let out = List.rev !out in
+  if List.length out <> !handed then
+    failwith (Printf.sprintf "%d responses for %d requests" (List.length out) !handed);
+  {
+    responses = Array.of_list (List.map (fun (l, _, _) -> parse_response l) out);
+    cpu_ms = List.map (fun (_, c, _) -> c) out;
+    wall_ms = List.map (fun (_, _, w) -> w) out;
+    counters = Obs.counters obs;
+  }
+
+(* ------------------------------------------------- stage by stage -- *)
+
+(* The answer a response carries for [r], as the daemon maps a solver
+   result onto a status: a cascade that had to fall back is degraded. *)
+let answer_of (r : CR.t) =
+  let cost =
+    match r.CR.objective with
+    | Some (CR.Slots n) -> J.Int n
+    | Some (CR.Busy q | CR.Value q) -> J.String (Q.to_string q)
+    | None -> J.Null
+  in
+  let fell_back =
+    match r.CR.provenance with
+    | Some p ->
+        List.exists
+          (fun (a : Budget.Cascade.attempt) -> a.Budget.Cascade.status = Budget.Cascade.Tier_exhausted)
+          p.Budget.Cascade.attempts
+    | None -> false
+  in
+  match (r.CR.status, r.CR.objective) with
+  | CR.Solved, _ -> ((if fell_back then "degraded" else "ok"), cost)
+  | CR.Infeasible, _ -> ("infeasible", J.Null)
+  | CR.Exhausted _, Some _ -> ("degraded", cost)
+  | CR.Exhausted _, None -> ("error", J.Null)
+
+let decode k line =
+  match Trace.span ~layer:"serve" "serve.decode" (fun () -> P.decode_line ~seq:k line) with
+  | Ok r -> r
+  | Error e -> failwith e
+
+(* A decoded request through the public calls a daemon worker makes:
+   placement first for busy instances, then the registered solver under
+   the request's budget (the daemon's default when it sends none), then
+   the library's own check of the witness. *)
+let solve (preq : P.request) =
+  let default = Option.get (Serve.default_config ()).Serve.default_budget in
+  let budget = Budget.limited (Option.value ~default preq.P.budget) in
+  let obs = Trace.obs () in
+  let run kind inst =
+    (Core.Registry.find_exn kind preq.P.algorithm).Core.Solver.solve ~budget ~params:preq.P.params
+      ~obs inst
+  in
+  let which, r =
+    match preq.P.instance with
+    | Io.Slotted_instance inst ->
+        let r = Trace.span ~layer:"core" "core.solve" (fun () -> run CI.Active_slotted (CI.Slotted inst)) in
+        (match (r.CR.status, r.CR.witness) with
+        | CR.Solved, Some (CR.Opened { open_slots; schedule }) -> (
+            match
+              Trace.span ~layer:"active" "active.verify" (fun () ->
+                  Active.Solution.verify inst { Active.Solution.open_slots; schedule })
+            with
+            | None -> ()
+            | Some problem -> failwith ("invalid solution: " ^ problem))
+        | _ -> ());
+        ("active", r)
+    | Io.Busy_instance jobs ->
+        let pinned =
+          Trace.span ~layer:"busy" "busy.place" (fun () ->
+              Busy.Pipeline.place Busy.Pipeline.Greedy_placement jobs)
+        in
+        let r =
+          Trace.span ~layer:"core" "core.solve" (fun () ->
+              run CI.Busy_interval (CI.Interval { g = preq.P.g; jobs = pinned }))
+        in
+        (match (r.CR.status, r.CR.witness) with
+        | CR.Solved, Some (CR.Packing p) -> (
+            match
+              Trace.span ~layer:"busy" "busy.check" (fun () -> Busy.Bundle.check ~g:preq.P.g pinned p)
+            with
+            | None -> ()
+            | Some problem -> failwith ("invalid packing: " ^ problem))
+        | _ -> ());
+        ("busy", r)
+  in
+  if preq.P.algorithm = "cascade" then Trace.add_counters obs [ which ^ ".exact.nodes" ];
+  r
+
+(* The staged replay's state: a fresh memo for every pass over the plan,
+   as a fresh daemon has, and a session holding the LP basis cache. *)
+type replay_state = { memo : (string * J.t) Core.Session.Memo.t; session : Core.Session.t }
+
+let fresh_replay_state () =
+  let cfg = config ~domains:1 in
+  {
+    memo = Core.Session.Memo.create ~capacity:cfg.Serve.cache_capacity;
+    session = Core.Session.create ~name:"serve" ~basis_cache:cfg.Serve.basis_cache_capacity ();
+  }
+
+(* Request [k] stage by stage: decode, memo lookup, solve. Returns its
+   (status, cost). The cascade's time and allocation are counted for the
+   per-node figures. *)
+let staged st k line =
+  let preq = decode k line in
+  let key = P.cache_key preq in
+  match Trace.span ~layer:"serve" "serve.memo" (fun () -> Core.Session.Memo.find st.memo key) with
+  | Some a -> a
+  | None ->
+      let a0 = Meas.allocated_bytes () and t0 = Meas.now () in
+      let r = Core.Session.with_installed st.session (fun () -> solve preq) in
+      if preq.P.algorithm = "cascade" then begin
+        let which = match preq.P.instance with Io.Slotted_instance _ -> "active" | _ -> "busy" in
+        Trace.count (which ^ ".cascade_ms") ((Meas.now () -. t0) *. 1000.0);
+        Trace.count (which ^ ".cascade_alloc") (Meas.allocated_bytes () -. a0)
+      end;
+      let a = answer_of r in
+      if List.mem (fst a) [ "ok"; "degraded"; "infeasible" ] then Core.Session.Memo.store st.memo key a;
+      a
+
+(* ---------------------------------------------------------- checking -- *)
+
+let check req (r : CR.t) =
+  match (req.base, r.CR.status, r.CR.objective, r.CR.witness) with
+  | _, CR.Infeasible, _, _ -> Check.Unverified
+  | Active_inst inst, _, Some (CR.Slots cost), Some (CR.Opened { open_slots; schedule }) ->
+      Check.active inst ~open_slots ~schedule ~cost
+  | Active_inst inst, _, Some (CR.Value value), None -> Check.lp_bound inst ~value
+  | Busy_inst jobs, _, Some (CR.Busy cost), Some (CR.Packing bundles) ->
+      Check.busy ~g:busy_g jobs ~bundles ~cost
+  | _ -> Check.Rejected "answer carries no checkable witness"
+
+(* The benchmark's lower bound for a request's objective. *)
+let bound req =
+  match req.base with
+  | Active_inst inst -> float_of_int (Check.active_bound inst)
+  | Busy_inst jobs -> Q.to_float (Check.mass ~g:busy_g jobs)
+
+let cost_float = function
+  | J.Int n -> Some (float_of_int n)
+  | J.String s -> ( try Some (Q.to_float (Q.of_string s)) with _ -> None)
+  | _ -> None
+
+(* Checks the first pass. A response carries no schedule, so each fresh
+   request is solved once more through the same public calls, outside
+   the timed loop; the independent checker verifies that witness and the
+   response must carry its status and cost. A repeat must carry the
+   answer of the request it repeats. Returns, per request, whether it is
+   rejected, and the unverified and bound-only counts. *)
+let check_first reqs (first : response array) =
+  let bad = Array.make (Array.length first) false in
+  let unverified = ref 0 and bound_only = ref 0 in
+  let reject k fmt =
+    Printf.ksprintf
+      (fun m ->
+        bad.(k) <- true;
+        Serial.warn "request %d: %s" k m)
+      fmt
+  in
+  Array.iteri
+    (fun k (resp : response) ->
+      let req = reqs.(k) in
+      if not (answered resp) then reject k "the daemon answered %s" resp.status
+      else if not req.fresh then begin
+        let o = first.(req.origin) in
+        if (o.status, o.cost) <> (resp.status, resp.cost) then
+          reject k "the answer differs from request %d, which it repeats" req.origin
+      end
+      else
+        match solve (decode k req.line) with
+        | exception e -> reject k "the library call raised %s" (Printexc.to_string e)
+        | r -> (
+            if answer_of r <> (resp.status, resp.cost) then
+              reject k "the daemon answered %s %s, the library call %s %s" resp.status
+                (J.to_string resp.cost) (fst (answer_of r)) (J.to_string (snd (answer_of r)));
+            match check req r with
+            | Check.Valid -> ()
+            | Check.Bound_only -> incr bound_only
+            | Check.Unverified -> incr unverified
+            | Check.Rejected m -> reject k "checker: %s" m))
+    first;
+  (bad, !unverified, !bound_only)
+
+(* Ticks the cascade spent in tiers that ran out of fuel, and all ticks,
+   over the responses that were not memo hits. *)
+let wasted_ticks (responses : response array) =
+  Array.fold_left
+    (fun (w, a) r ->
+      if r.cache = "hit" then (w, a)
+      else List.fold_left (fun (w, a) (t, ex) -> ((if ex then w + t else w), a + t)) (w, a) r.attempts)
+    (0, 0) responses
+
+(* ----------------------------------------------------------- open loop -- *)
+
+type stream = {
+  open_responses : response array;
+  latency : float array;  (** ms, due time to response emitted *)
+  lag_max : float;  (** ms the generator ran late at worst *)
+}
+
+(* Offers [lines] at [rate] per second to a daemon with [open_domains]
+   workers: request k is due k/rate s after the daemon asks for its
+   first line, and is timed from that due time, so a stall also delays
+   the requests behind it. *)
+let open_loop lines =
   let n = Array.length lines in
   let due = Array.make n 0.0 and emitted = Array.make n 0.0 and out = Array.make n "" in
   let t0 = ref 0.0 and next = ref 0 and emits = ref 0 and lag = ref 0.0 in
@@ -191,242 +460,145 @@ let run_stream lines =
     end;
     emits := k + 1
   in
-  let obs = Obs.create () in
-  (match Serve.run_stream ~obs ~config:(config ()) ~next_line ~emit () with
+  (match Serve.run_stream ~config:(config ~domains:open_domains) ~next_line ~emit () with
   | None -> ()
   | Some e -> raise e);
   if !emits <> n then failwith (Printf.sprintf "%d responses for %d requests" !emits n);
   {
-    responses = Array.map parse_response out;
+    open_responses = Array.map parse_response out;
     latency = Array.init n (fun k -> (emitted.(k) -. due.(k)) *. 1000.0);
     lag_max = !lag *. 1000.0;
-    counters = Obs.counters obs;
   }
-
-(* ---------------------------------------------------------- checking -- *)
-
-let status_of (r : CR.t) =
-  let exhausted =
-    match r.CR.provenance with
-    | Some p ->
-        List.exists (fun (a : Budget.Cascade.attempt) -> a.Budget.Cascade.status = Budget.Cascade.Tier_exhausted)
-          p.Budget.Cascade.attempts
-    | None -> false
-  in
-  match r.CR.status with
-  | CR.Solved -> if exhausted then "degraded" else "ok"
-  | CR.Infeasible -> "infeasible"
-  | CR.Exhausted _ -> if r.CR.objective = None then "error" else "degraded"
-
-let cost_json = function
-  | Some (CR.Slots n) -> J.Int n
-  | Some (CR.Busy q | CR.Value q) -> J.String (Q.to_string q)
-  | None -> J.Null
-
-(* One fresh request, solved as the daemon's worker solves it. *)
-let solve ?(obs = Obs.null) req =
-  let budget = Budget.limited (if req.algorithm = "cascade" then budget else 500_000) in
-  match req.base with
-  | Active_inst inst ->
-      let solver = Core.Registry.find_exn CI.Active_slotted req.algorithm in
-      (None, solver.Core.Solver.solve ~budget ~obs (CI.Slotted inst))
-  | Busy_inst jobs ->
-      let pinned =
-        Trace.span ~layer:"busy" "busy.place" (fun () -> Busy.Pipeline.place Busy.Pipeline.Greedy_placement jobs)
-      in
-      let solver = Core.Registry.find_exn CI.Busy_interval req.algorithm in
-      (Some pinned, solver.Core.Solver.solve ~budget ~obs (CI.Interval { g = busy_g; jobs = pinned }))
-
-let check req (r : CR.t) =
-  match (req.base, r.CR.status, r.CR.objective, r.CR.witness) with
-  | _, CR.Infeasible, _, _ -> Check.Unverified
-  | Active_inst inst, _, Some (CR.Slots cost), Some (CR.Opened { open_slots; schedule }) ->
-      Check.active inst ~open_slots ~schedule ~cost
-  | Active_inst inst, _, Some (CR.Value value), None -> Check.lp_bound inst ~value
-  | Busy_inst jobs, _, Some (CR.Busy cost), Some (CR.Packing bundles) ->
-      Check.busy ~g:busy_g jobs ~bundles ~cost
-  | _ -> Check.Rejected "answer carries no checkable witness"
-
-(* The benchmark's lower bound for a request's objective. *)
-let bound req =
-  match req.base with
-  | Active_inst inst -> float_of_int (Check.active_bound inst)
-  | Busy_inst jobs -> Q.to_float (Check.mass ~g:busy_g jobs)
-
-let cost_float = function
-  | J.Int n -> Some (float_of_int n)
-  | J.String s -> ( try Some (Q.to_float (Q.of_string s)) with _ -> None)
-  | _ -> None
-
-let answered r = List.mem r.status [ "ok"; "degraded"; "infeasible" ]
-
-(* ------------------------------------------------------- worker path -- *)
-
-(* Warm state of one daemon: its session (basis cache) and its memo. A
-   pass over the plan starts from a fresh daemon, so every pass sees the
-   same hits and misses. *)
-type daemon = { session : Core.Session.t; memo : P.core Core.Session.Memo.t }
-
-let fresh_daemon () =
-  let cfg = config () in
-  {
-    session = Core.Session.create ~name:"serve" ~basis_cache:cfg.Serve.basis_cache_capacity ();
-    memo = Core.Session.Memo.create ~capacity:cfg.Serve.cache_capacity;
-  }
-
-type answer = { core : P.core; result : CR.t option  (** [None] on a memo hit *) }
-
-(* One request on the path a worker runs: decode, memo lookup, solve
-   (placement first for busy instances), verify, encode. *)
-let handle daemon k req =
-  let decoded = Trace.span ~layer:"serve" "serve.decode" (fun () -> P.decode_line ~seq:k req.line) in
-  let preq = match decoded with Ok r -> r | Error e -> failwith e in
-  let key = P.cache_key preq in
-  let a =
-    match Trace.span ~layer:"serve" "serve.memo" (fun () -> Core.Session.Memo.find daemon.memo key) with
-    | Some core -> { core; result = None }
-    | None ->
-        let obs = Trace.obs () in
-        let a0 = Meas.allocated_bytes () and t0 = Meas.now () in
-        let pinned, r =
-          Core.Session.with_installed daemon.session (fun () ->
-              Trace.span ~layer:"core" "core.solve" (fun () -> solve ~obs req))
-        in
-        if !Trace.enabled && req.algorithm = "cascade" then begin
-          let which = match req.base with Active_inst _ -> "active" | Busy_inst _ -> "busy" in
-          Trace.count (which ^ ".cascade_ms") ((Meas.now () -. t0) *. 1000.0);
-          Trace.count (which ^ ".cascade_alloc") (Meas.allocated_bytes () -. a0);
-          Trace.add_counters obs [ which ^ ".exact.nodes" ]
-        end;
-        let invalid what = function None -> () | Some problem -> failwith ("invalid " ^ what ^ ": " ^ problem) in
-        (match (r.CR.status, r.CR.witness, req.base, pinned) with
-        | CR.Solved, Some (CR.Opened { open_slots; schedule }), Active_inst inst, _ ->
-            Trace.span ~layer:"active" "active.verify" (fun () ->
-                invalid "solution" (Active.Solution.verify inst { Active.Solution.open_slots; schedule }))
-        | CR.Solved, Some (CR.Packing p), Busy_inst _, Some pinned ->
-            Trace.span ~layer:"busy" "busy.check" (fun () ->
-                invalid "packing" (Busy.Bundle.check ~g:busy_g pinned p))
-        | _ -> ());
-        let core =
-          {
-            P.status = status_of r;
-            algorithm_used = Some req.algorithm;
-            instance_json = P.instance_json preq;
-            cost = cost_json r.CR.objective;
-            message = r.CR.note;
-            provenance =
-              (match r.CR.provenance with
-              | Some p -> Budget.Cascade.provenance_to_json ~cost_to_json:(fun o -> cost_json (Some o)) p
-              | None -> J.Null);
-            ticks = 0;
-          }
-        in
-        Core.Session.Memo.store daemon.memo key core;
-        { core; result = Some r }
-  in
-  let cache = Some (if a.result = None then "hit" else "miss") in
-  (a, Trace.span ~layer:"obs" "obs.encode" (fun () -> P.to_line ~id:preq.P.id ~cache a.core))
-
-(* Ticks the cascade spent in tiers that ran out of fuel, and all ticks,
-   over the responses that were not memo hits. *)
-let wasted_ticks (responses : response array) =
-  Array.fold_left
-    (fun (w, a) r ->
-      if r.cache = "hit" then (w, a)
-      else List.fold_left (fun (w, a) (t, ex) -> ((if ex then w + t else w), a + t)) (w, a) r.attempts)
-    (0, 0) responses
 
 (* --------------------------------------------------------------- run -- *)
 
-(* The plan a run replays; a pass over it takes about two thirds of a
-   25 s run. *)
-let plan_length = 300
-
 let run_workload ~seed ~seconds ~trace =
   let reqs, setup_s =
-    Serial.repeat_setup ~times:5 (fun () ->
+    Serial.repeat_setup (fun () ->
         let reqs = plan ~seed ~n:plan_length in
         (* warm-up: the same greedy-tracking request on every seed, through
            a daemon started and stopped *)
-        let warm = Busy_inst (Workload.Generate.flexible_jobs ~n:60 ~horizon:60 ~seed:0 ()) in
-        ignore (Serve.run_lines ~config:(config ()) [ render ~id:0 ~algorithm:"greedy-tracking" warm ]);
+        let warm = Busy_inst (Workload.Generate.flexible_jobs ~n:busy_n ~horizon:busy_n ~seed:0 ()) in
+        ignore
+          (Serve.run_lines ~config:(config ~domains:1) [ render ~id:0 ~algorithm:"greedy-tracking" warm ]);
         reqs)
   in
-  let daemon = ref (fresh_daemon ()) in
-  let first = Array.make plan_length None in
-  let daemon_failed = ref 0 in
-  let w =
-    {
-      Serial.pool = Array.map (fun r -> r.line) reqs;
-      run =
-        (fun k _ ->
-          if k = 0 then daemon := fresh_daemon ();
-          let a, doc = handle !daemon k reqs.(k) in
-          if Option.is_none first.(k) then first.(k) <- Some a.core;
-          (a, doc));
-      traced =
-        (fun k _ ->
-          if k = 0 then daemon := fresh_daemon ();
-          handle !daemon k reqs.(k));
-      check =
-        (fun k a ->
-          let req = reqs.(k) in
-          match a.result with
-          | Some r -> check req r
-          | None -> (
-              match first.(req.origin) with
-              | Some origin when origin.P.cost = a.core.P.cost -> Check.Valid
-              | _ -> Check.Rejected "memo hit differs from the answer it repeats"));
-      quality =
-        (fun k a ->
-          let cost = cost_float a.core.P.cost in
-          {
-            Serial.no_quality with
-            cost = Option.value ~default:0.0 cost;
-            bound = (if cost = None then 0.0 else bound reqs.(k));
-            answers = 1;
-            degraded = (if a.core.P.status = "degraded" then 1 else 0);
-          });
-    }
+  let lines = Array.map (fun r -> r.line) reqs in
+  let seconds_closed = if trace then seconds /. 3.0 else seconds in
+  (* the untraced run always finishes its first pass *)
+  let full_pass = not trace in
+  let speed = Meas.speed () in
+  Gc.compact ();
+  let a0 = Meas.allocated_bytes () in
+  let t_start = Meas.now () and c_start = Meas.cpu () in
+  let over () = Meas.now () -. t_start >= seconds_closed in
+  let rec passes p acc =
+    if p > 0 && over () then List.rev acc
+    else
+      let stop () = (p > 0 || not full_pass) && over () in
+      passes (p + 1) (closed_pass ~speed ~stop lines :: acc)
+  in
+  let passes = passes 0 [] in
+  let loop_s = Meas.now () -. t_start -. speed.Meas.spent_wall in
+  let loop_cpu_s = Meas.cpu () -. c_start -. speed.Meas.spent_cpu in
+  (* the worker domains have joined, so their allocation is counted *)
+  let alloc = Meas.allocated_bytes () -. a0 -. speed.Meas.spent_alloc in
+  let peak_rss = Meas.peak_rss_mb () in
+  let first = (List.hd passes).responses in
+  let bad, unverified, bound_only = check_first reqs first in
+  let failed = ref 0 in
+  List.iter
+    (fun p ->
+      Array.iteri
+        (fun k r ->
+          if bad.(k) then incr failed
+          else if (r.status, r.cost) <> (first.(k).status, first.(k).cost) then begin
+            incr failed;
+            Serial.warn "request %d answered differently on a later pass" k
+          end)
+        p.responses)
+    passes;
+  let quality =
+    Array.fold_left Serial.add_quality Serial.no_quality
+      (Array.mapi
+         (fun k r ->
+           let cost = if answered r then cost_float r.cost else None in
+           {
+             Serial.no_quality with
+             cost = Option.value ~default:0.0 cost;
+             bound = (if cost = None then 0.0 else bound reqs.(k));
+             answers = 1;
+             degraded = (if r.status = "degraded" then 1 else 0);
+           })
+         first)
+  in
+  (* the staged replay of the requests the daemon was handed; each pass
+     over the plan starts from a fresh state, as a fresh daemon does *)
+  let staged_runner () =
+    let state = ref (fresh_replay_state ()) in
+    fun k ->
+      if k = 0 then state := fresh_replay_state ();
+      staged !state k lines.(k)
+  in
+  let staged_ms, traced_ms, mismatches =
+    if trace then
+      Serial.replay
+        (List.concat_map (fun p -> List.init (Array.length p.responses) Fun.id) passes)
+        ~make:staged_runner
+        ~expect:(fun k a -> a = (first.(k).status, first.(k).cost))
+    else ([], [], 0)
+  in
+  (* each request's median over the passes that reached it *)
+  let per_request ms =
+    Meas.per_key_median (List.concat_map (fun p -> List.mapi (fun k x -> (k, x)) (ms p)) passes)
   in
   let o =
-    Serial.measure w ~seconds:(if trace then seconds /. 3.0 else seconds) ~full_pass:(not trace) ~trace
+    {
+      Serial.latencies = per_request (fun p -> p.cpu_ms);
+      wall_latencies = per_request (fun p -> p.wall_ms);
+      speed;
+      ops = List.fold_left (fun n p -> n + Array.length p.responses) 0 passes;
+      loop_s;
+      loop_cpu_s;
+      alloc;
+      peak_rss;
+      failed = !failed;
+      unverified;
+      bound_only;
+      quality;
+      staged = staged_ms;
+      traced = traced_ms;
+      mismatches;
+    }
   in
+  let open_failed = ref 0 in
   let layer () =
-    (* the daemon: an open loop of the plan's first requests at [rate]
-       through Serve.run_stream; each response must carry the answer the
-       worker path gave *)
-    let n = int_of_float (rate *. seconds) in
+    (* the open loop over the plan's first requests; each response must
+       carry the answer the closed loop gave *)
+    let n = min (Array.length first) (int_of_float (rate *. seconds)) in
     Gc.compact ();
-    let st = run_stream (Array.init n (fun k -> reqs.(k).line)) in
-    let replayed = Array.init n (fun k -> Option.map (fun (c : P.core) -> (c.P.status, c.P.cost)) first.(k)) in
+    let st = open_loop (Array.sub lines 0 n) in
     Array.iteri
       (fun k r ->
-        match replayed.(k) with
-        | Some (status, cost) when status = r.status && cost = r.cost -> ()
-        | Some _ ->
-            incr daemon_failed;
-            Serial.warn "daemon answered request %d differently from the worker path" k
-        | None ->
-            if not (answered r) then begin
-              incr daemon_failed;
-              Serial.warn "daemon failed request %d: %s" k r.status
-            end)
-      st.responses;
-    let lat = Array.to_list st.latency in
-    let service = Array.to_list (Array.map (fun r -> r.elapsed_ms) st.responses) in
-    let wait = List.mapi (fun k s -> st.latency.(k) -. s) service in
-    let counter name = float_of_int (Option.value ~default:0 (List.assoc_opt name st.counters)) in
-    let hit_frac h m = if h +. m > 0.0 then h /. (h +. m) else 0.0 in
+        if (r.status, r.cost) <> (first.(k).status, first.(k).cost) then begin
+          incr open_failed;
+          Serial.warn "the open-loop daemon answered request %d differently" k
+        end)
+      st.open_responses;
     if st.lag_max > 1000.0 /. rate then begin
-      incr daemon_failed;
-      Serial.warn "invalid daemon run: the generator fell %.1f ms behind" st.lag_max
+      incr open_failed;
+      Serial.warn "invalid open-loop run: the generator fell %.1f ms behind" st.lag_max
     end;
-    let wasted, all = wasted_ticks st.responses in
+    let lat = Array.to_list st.latency in
+    let service = Array.to_list (Array.map (fun r -> r.elapsed_ms) st.open_responses) in
+    let wait = List.mapi (fun k s -> st.latency.(k) -. s) service in
+    let counters = (List.hd passes).counters in
+    let counter name = float_of_int (Option.value ~default:0 (List.assoc_opt name counters)) in
+    let hit_frac h m = if h +. m > 0.0 then h /. (h +. m) else 0.0 in
+    let wasted, all = wasted_ticks first in
     let c = Trace.counted in
     let per_node ms nodes = if nodes > 0.0 then ms /. nodes else 0.0 in
     [ ("serve.decode_us", 1000.0 *. fst (Trace.per_call "serve.decode"));
-      ("obs.encode_ms", fst (Trace.per_call "obs.encode"));
       ("busy.place_ms", fst (Trace.per_call "busy.place"));
       ("busy.place_alloc_mb", Meas.mb (snd (Trace.per_call "busy.place")));
       ("serve.latency_ms_p50", Meas.median lat);
@@ -444,4 +616,4 @@ let run_workload ~seed ~seconds ~trace =
       ("budget.wasted_tick_frac", if all > 0 then float_of_int wasted /. float_of_int all else 0.0) ]
   in
   let r = Serial.result o ~setup_s ~trace ~layer in
-  { r with Serial.failed = r.Serial.failed + !daemon_failed; correct = r.Serial.correct && !daemon_failed = 0 }
+  { r with Serial.failed = r.Serial.failed + !open_failed; correct = r.Serial.correct && !open_failed = 0 }

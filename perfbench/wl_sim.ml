@@ -11,6 +11,8 @@ module J = Obs.Json
 module R = Sim.Rolling
 
 let count = 170
+let n_min = 24
+let n_max = 40
 
 let params n : Workload.Generate.slotted_params = { n; horizon = 2 * n; max_length = 4; slack = 5; g = 3 }
 
@@ -18,10 +20,17 @@ let generate ~seed =
   let st = Random.State.make [| seed; 3 |] in
   let traces =
     List.init count (fun i ->
-        Workload.Generate.timed_slotted ~params:(params (24 + (16 * i / (count - 1))))
+        Workload.Generate.timed_slotted ~params:(params (n_min + ((n_max - n_min) * i / (count - 1))))
           ~seed:(Random.State.bits st) ())
   in
   Serial.shuffle st (Array.of_list traces)
+
+let generator =
+  let p = params n_min in
+  Printf.sprintf
+    "%d Generate.timed_slotted traces (g=%d, horizon 2n, max_length %d, slack %d, n spread over \
+     %d-%d), shuffled; Sim.Rolling.default_config"
+    count p.g p.max_length p.slack n_min n_max
 
 let parse text =
   match Io.parse_string_timed text with
@@ -75,12 +84,12 @@ let layer ~ops () =
 
 let run_workload ~seed ~seconds ~trace =
   let (traces, pool), setup_s =
-    Serial.repeat_setup ~times:5 (fun () ->
+    Serial.repeat_setup (fun () ->
         let traces = generate ~seed in
         let text (inst, arrivals) = Io.to_string ~arrivals (Io.Slotted_instance inst) in
         let pool = Array.map text traces in
         (* the warm-up op is the same on every seed *)
-        ignore (run 0 (text (Workload.Generate.timed_slotted ~params:(params 24) ~seed:0 ())));
+        ignore (run 0 (text (Workload.Generate.timed_slotted ~params:(params n_min) ~seed:0 ())));
         (traces, pool))
   in
   let w =
@@ -106,4 +115,4 @@ let run_workload ~seed ~seconds ~trace =
     }
   in
   let o = Serial.measure w ~seconds:(if trace then seconds /. 3.0 else seconds) ~full_pass:(not trace) ~trace in
-  Serial.result o ~setup_s ~trace ~layer:(layer ~ops:(List.length o.Serial.traced_latencies))
+  Serial.result o ~setup_s ~trace ~layer:(layer ~ops:(List.length o.Serial.traced))
