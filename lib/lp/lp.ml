@@ -831,7 +831,7 @@ let certify ~ops m ~vstat ~sstat =
               if Q.is_zero xv then acc else Q.sub acc (mul c xv))
           m.rows.(i).rhs m.rows.(i).terms)
   in
-  let xb = RS.F.ftran fact rhs in
+  let xb = RS.F.ftran fact (RS.F.col_of_array rhs) in
   Array.iteri
     (fun k col ->
       let x = xb.(k) in

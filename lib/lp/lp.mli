@@ -322,11 +322,12 @@ val default_engine : engine
     [lp.eta_updates] (product-form eta pivots applied in place of a
     refactorization) and [lp.fill_nonzeros] (total LU nonzeros produced,
     fill included). The exact sparse-algebra engines also record the
-    pricing-work counters [lp.priced_columns] (columns whose reduced
-    cost was computed or maintained — the measure the partial-pricing
-    gate in experiment E26 compares), [lp.candidate_refills] (partial
-    pricing refill sweeps) and [lp.devex_resets] (devex reference
-    framework resets). The float engine additionally records
+    pricing-work counters [lp.priced_columns] (the nonbasic columns a
+    pricing pass or reduced-cost row update covers — the measure the
+    partial-pricing gate in experiment E26 compares),
+    [lp.candidate_refills] (partial pricing refill sweeps) and
+    [lp.devex_resets] (devex reference framework resets). The float
+    engine additionally records
     [lp.float_pivots] (double-precision pivots), [lp.certify_ops]
     (rational multiplications/divisions spent in certification),
     [lp.certify_ok], [lp.certify_fail] and [lp.fallbacks] (exact

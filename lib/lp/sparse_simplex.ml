@@ -8,10 +8,12 @@
    a maintained reduced-cost row: it is priced once per phase by one
    BTRAN (y = B^-T c_B) plus one sparse dot product per column, then
    updated after each pivot from the post-pivot tableau row
-   (rho = B^-T e_r, alpha_rj = rho . A_j, d_j -= d_q alpha_rj) — work
-   proportional to the row's sparse support, not O(m·n). The pivot
-   column is one FTRAN (w = B^-1 a_q). Basis changes are product-form
-   eta updates with periodic refactorization (Slu.should_refactor).
+   (rho = B^-T e_r, alpha_rj = rho . A_j, d_j -= d_q alpha_rj). That
+   row is accumulated over rho's nonzero rows from a row-major copy of
+   A, so its cost is the nonzeros rho reaches, not one dot product per
+   column. The pivot column is one FTRAN (w = B^-1 a_q). Basis changes
+   are product-form eta updates with periodic refactorization
+   (Slu.should_refactor).
 
    The pivot rules mirror the revised engine: Dantzig pricing switching
    to Bland's rule after [degen_threshold] consecutive degenerate
@@ -41,7 +43,7 @@ type vstat = Vlo | Vhi | Vbas
 type spec = {
   sp_nrows : int;
   sp_ncols : int;
-  sp_cols : (int * Rational.t) list array;
+  sp_cols : (int * Rational.t) list array; (* each in strictly descending row order *)
   sp_lo : Rational.t array;
   sp_hi : Rational.t option array;
   sp_obj : Rational.t array; (* minimization costs; zero beyond structurals *)
@@ -88,6 +90,7 @@ module Make (S : Scalar.S) = struct
     pm : int;
     pn : int;
     pcols : F.col array;
+    prows : F.col array; (* A row-major: row i's [rows] are column indices *)
     plo : S.t array;
     phi : S.t option array;
     pobj : S.t array;
@@ -99,14 +102,28 @@ module Make (S : Scalar.S) = struct
     prhs : S.t array;
   }
 
+  (* The row-major copy of A. Each row lists its columns in increasing
+     index order. Walking rows in descending order meets each column's
+     entries in its storage order (descending rows), which is what lets
+     [iter_pivot_row] repeat a per-column dot product operation for
+     operation. *)
+  let rows_of_cols ~nrows (cols : F.col array) =
+    let rows = Array.make nrows [] in
+    for j = Array.length cols - 1 downto 0 do
+      let c = cols.(j) in
+      Array.iteri (fun idx r -> rows.(r) <- (j, c.F.vals.(idx)) :: rows.(r)) c.F.rows
+    done;
+    Array.map F.col_of_list rows
+
   let of_spec (sp : spec) : problem =
+    let pcols =
+      Array.map (fun l -> F.col_of_list (List.map (fun (r, q) -> (r, S.of_q q)) l)) sp.sp_cols
+    in
     {
       pm = sp.sp_nrows;
       pn = sp.sp_ncols;
-      pcols =
-        Array.map
-          (fun l -> F.col_of_list (List.map (fun (r, q) -> (r, S.of_q q)) l))
-          sp.sp_cols;
+      pcols;
+      prows = rows_of_cols ~nrows:sp.sp_nrows pcols;
       plo = Array.map S.of_q sp.sp_lo;
       phi = Array.map (Option.map S.of_q) sp.sp_hi;
       pobj = Array.map S.of_q sp.sp_obj;
@@ -140,11 +157,14 @@ module Make (S : Scalar.S) = struct
     enterable : bool array;
     cost : S.t array; (* current phase costs *)
     d : S.t array; (* maintained reduced costs (zero on basics) *)
-    priced : int ref; (* columns whose reduced cost was (re)computed *)
+    priced : int ref; (* nonbasic columns a pricing pass or row update covers *)
     refills : int ref; (* candidate-queue refill sweeps (Partial) *)
     resets : int ref; (* reference-framework resets (Devex) *)
     dw : S.t array; (* devex reference weights (>= 1 on nonbasics) *)
     cand : int array; (* partial-pricing candidate queue *)
+    alpha : S.t array; (* pivot-row scratch: all zero between rows *)
+    in_row : bool array; (* column reached by the current pivot row *)
+    reach : int array; (* reached columns *)
     mutable cand_n : int;
     mutable cursor : int; (* rotating refill position *)
     mutable fact : F.fact;
@@ -196,13 +216,42 @@ module Make (S : Scalar.S) = struct
     !acc
 
   (* w = B^-1 a_j *)
-  let ftran_col st j =
-    let b = Array.make st.pb.pm S.zero in
-    let c = st.pb.pcols.(j) in
-    for idx = 0 to Array.length c.F.rows - 1 do
-      b.(c.F.rows.(idx)) <- c.F.vals.(idx)
+  let ftran_col st j = F.ftran st.fact st.pb.pcols.(j)
+
+  (* [iter_pivot_row st rho ~keep f] calls [f j alpha_j] for every
+     column j with [keep j] that rho's support reaches, in the order
+     reached, where alpha_j = rho . A_j. The products are accumulated
+     row by row over rho's nonzeros from the row-major copy of A,
+     walking rows in descending order: each alpha_j sees exactly the
+     operations, in the order, of [dot_col st rho j], and columns rho
+     misses (alpha_j = 0) are never visited. *)
+  let iter_pivot_row st (rho : S.t array) ~keep f =
+    let n = ref 0 in
+    for i = st.pb.pm - 1 downto 0 do
+      let ri = rho.(i) in
+      if not (S.is_zero ri) then begin
+        let row = st.pb.prows.(i) in
+        for idx = 0 to Array.length row.F.rows - 1 do
+          let j = row.F.rows.(idx) in
+          if keep j then begin
+            if not st.in_row.(j) then begin
+              st.in_row.(j) <- true;
+              st.reach.(!n) <- j;
+              incr n
+            end;
+            incr st.ops;
+            st.alpha.(j) <- S.add st.alpha.(j) (S.mul ri row.F.vals.(idx))
+          end
+        done
+      end
     done;
-    F.ftran st.fact b
+    for t = 0 to !n - 1 do
+      let j = st.reach.(t) in
+      let a = st.alpha.(j) in
+      st.alpha.(j) <- S.zero;
+      st.in_row.(j) <- false;
+      f j a
+    done
 
   (* y = B^-T c_B *)
   let dual st =
@@ -482,10 +531,10 @@ module Make (S : Scalar.S) = struct
                   if devex then st.dw.(k) <- S.one;
                   let grown = ref false in
                   let rho = btran_unit st r in
-                  for j = 0 to st.pb.pn - 1 do
-                    if st.stat.(j) <> Vbas then begin
-                      incr st.priced;
-                      let a = dot_col st rho j in
+                  st.priced := !(st.priced) + st.pb.pn - st.pb.pm;
+                  iter_pivot_row st rho
+                    ~keep:(fun j -> st.stat.(j) <> Vbas)
+                    (fun j a ->
                       if not (S.is_zero a) then begin
                         incr st.ops;
                         st.d.(j) <- S.submul st.d.(j) d a;
@@ -496,9 +545,7 @@ module Make (S : Scalar.S) = struct
                             if S.compare cand devex_weight_cap > 0 then grown := true
                           end
                         end
-                      end
-                    end
-                  done;
+                      end);
                   st.d.(q) <- S.zero;
                   if devex && !grown then begin
                     Array.fill st.dw 0 (Array.length st.dw) S.one;
@@ -574,9 +621,9 @@ module Make (S : Scalar.S) = struct
           let rho = btran_unit st r in
           let y = dual st in
           let best = ref None in
-          for j = 0 to n - 1 do
-            if st.enterable.(j) && st.stat.(j) <> Vbas then begin
-              let arj = dot_col st rho j in
+          iter_pivot_row st rho
+            ~keep:(fun j -> st.enterable.(j) && st.stat.(j) <> Vbas)
+            (fun j arj ->
               if S.compare (S.abs arj) cfg.ptol > 0 then begin
                 let eligible =
                   match (st.stat.(j), below) with
@@ -589,13 +636,14 @@ module Make (S : Scalar.S) = struct
                 if eligible then begin
                   let d = S.sub st.cost.(j) (dot_col st y j) in
                   let ratio = S.div (S.abs d) (S.abs arj) in
+                  (* smallest ratio, ties to the smallest column *)
                   match !best with
-                  | Some (_, _, br) when S.compare br ratio <= 0 -> ()
+                  | Some (bj, _, br) when
+                      let c = S.compare br ratio in
+                      c < 0 || (c = 0 && bj < j) -> ()
                   | _ -> best := Some (j, d, ratio)
                 end
-              end
-            end
-          done;
+              end);
           match !best with
           | None -> feasible := false (* dual unbounded: primal infeasible *)
           | Some (q, dq, _) ->
@@ -655,6 +703,9 @@ module Make (S : Scalar.S) = struct
         resets;
         dw;
         cand;
+        alpha = Array.make n S.zero;
+        in_row = Array.make n false;
+        reach = Array.make n 0;
         cand_n = 0;
         cursor = 0;
         fact;
@@ -770,6 +821,9 @@ module Make (S : Scalar.S) = struct
         resets;
         dw;
         cand;
+        alpha = Array.make n S.zero;
+        in_row = Array.make n false;
+        reach = Array.make n 0;
         cand_n = 0;
         cursor = 0;
         fact;
@@ -792,7 +846,7 @@ module Make (S : Scalar.S) = struct
         end
       end
     done;
-    let xb = F.ftran st.fact rhs in
+    let xb = F.ftran st.fact (F.col_of_array rhs) in
     Array.blit xb 0 st.xb 0 m;
     recompute_z st;
     let primal_feasible =

@@ -40,6 +40,14 @@ let small n d =
     Small (n / g, d / g)
   end
 
+(* Native operands of magnitude below [bound] combine without overflow:
+   a product of two stays below 2^(int_size-3) and a sum or difference
+   of two products below 2^(int_size-2), so the small tier of
+   [compare]/[add]/[mul]/[submul] needs neither [Bigint.checked_*] nor
+   its [Some] boxes. 2^30 on 64-bit targets. *)
+let bound = 1 lsl ((Sys.int_size - 3) / 2)
+let fits x = x < bound && x > -bound
+
 let make num den =
   if Bigint.is_zero den then raise Division_by_zero;
   make_big num den
@@ -111,10 +119,15 @@ let compare_big a b =
 
 let compare a b =
   match (a, b) with
-  | Small (an, ad), Small (bn, bd) -> (
-      match (Bigint.checked_mul an bd, Bigint.checked_mul bn ad) with
-      | Some x, Some y -> Stdlib.compare x y
-      | _ -> compare_big a b)
+  | Small (an, ad), Small (bn, bd) ->
+      if ad = bd then Stdlib.compare an bn
+      else if an = 0 then Stdlib.compare 0 bn
+      else if bn = 0 then Stdlib.compare an 0
+      else if fits an && fits ad && fits bn && fits bd then Stdlib.compare (an * bd) (bn * ad)
+      else (
+        match (Bigint.checked_mul an bd, Bigint.checked_mul bn ad) with
+        | Some x, Some y -> Stdlib.compare x y
+        | _ -> compare_big a b)
   | _ -> compare_big a b
 
 let min a b = if compare a b <= 0 then a else b
@@ -124,7 +137,10 @@ let neg = function
   | Small (n, d) -> Small (-n, d) (* n <> min_int by invariant *)
   | Big (n, d) -> of_big_parts (Bigint.neg n) d
 
-let abs t = if sign t < 0 then neg t else t
+let abs = function
+  | Small (n, d) when n < 0 -> Small (-n, d)
+  | Small _ as t -> t
+  | Big (n, _) as t -> if Bigint.sign n < 0 then neg t else t
 
 let add_big a b =
   make_big
@@ -133,26 +149,37 @@ let add_big a b =
 
 let add a b =
   match (a, b) with
-  | Small (an, ad), Small (bn, bd) -> (
-      match (Bigint.checked_mul an bd, Bigint.checked_mul bn ad, Bigint.checked_mul ad bd) with
-      | Some x, Some y, Some d -> (
-          match Bigint.checked_add x y with Some n -> small n d | None -> add_big a b)
-      | _ -> add_big a b)
+  | Small (0, _), _ -> b
+  | _, Small (0, _) -> a
+  | Small (an, ad), Small (bn, bd) ->
+      if fits an && fits ad && fits bn && fits bd then
+        if ad = bd then if ad = 1 then Small (an + bn, 1) else small (an + bn) ad
+        else small ((an * bd) + (bn * ad)) (ad * bd)
+      else (
+        match (Bigint.checked_mul an bd, Bigint.checked_mul bn ad, Bigint.checked_mul ad bd) with
+        | Some x, Some y, Some d -> (
+            match Bigint.checked_add x y with Some n -> small n d | None -> add_big a b)
+        | _ -> add_big a b)
   | _ -> add_big a b
 
-let sub a b = add a (neg b)
+let sub a b = match b with Small (0, _) -> a | _ -> add a (neg b)
 
 let mul_big a b = make_big (Bigint.mul (num a) (num b)) (Bigint.mul (den a) (den b))
 
 let mul a b =
   match (a, b) with
+  | Small (0, _), _ | _, Small (0, _) -> zero
+  | Small (an, 1), Small (bn, 1) when fits an && fits bn -> Small (an * bn, 1)
   | Small (an, ad), Small (bn, bd) -> (
-      (* cross-reduce first: keeps intermediates (and overflow falls) small *)
+      (* cross-reduce first: keeps intermediates (and overflow falls) small;
+         the reduced product is already in lowest terms *)
       let g1 = gcd_int (Stdlib.abs an) bd and g2 = gcd_int (Stdlib.abs bn) ad in
       let an = an / g1 and bd = bd / g1 and bn = bn / g2 and ad = ad / g2 in
-      match (Bigint.checked_mul an bn, Bigint.checked_mul ad bd) with
-      | Some n, Some d -> small n d
-      | _ -> mul_big a b)
+      if fits an && fits ad && fits bn && fits bd then Small (an * bn, ad * bd)
+      else
+        match (Bigint.checked_mul an bn, Bigint.checked_mul ad bd) with
+        | Some n, Some d -> small n d
+        | _ -> mul_big a b)
   | _ -> mul_big a b
 
 let inv = function
@@ -162,27 +189,35 @@ let inv = function
 
 let div a b = mul a (inv b)
 
+(* [a - b*c] once [b*c] has been formed as the reduced native pair
+   [pn/pd]; [a] is [Small (an, ad)]. *)
+let submul_native a b c an ad pn pd =
+  if fits an && fits ad && fits pn && fits pd then small ((an * pd) - (pn * ad)) (ad * pd)
+  else
+    match (Bigint.checked_mul an pd, Bigint.checked_mul pn ad, Bigint.checked_mul ad pd) with
+    | Some x, Some y, Some d -> (
+        match Bigint.checked_sub x y with Some n -> small n d | None -> sub a (mul b c))
+    | _ -> sub a (mul b c)
+
 (* a - b*c fused: cross-reduce the product as [mul] does, then combine
-   with [a] through one checked small-int pass; any overflow falls back
-   to the exact two-step form. One canonicalization instead of two on
-   the fast path — this is the sparse LU elimination kernel. *)
+   with [a] in native ints; any overflow falls back to the exact
+   two-step form. One canonicalization instead of two on the fast path
+   — this is the sparse LU elimination kernel. *)
 let submul a b c =
   match (a, b, c) with
+  | _, Small (0, _), _ | _, _, Small (0, _) -> a
+  | Small (an, 1), Small (bn, 1), Small (cn, 1) when fits an && fits bn && fits cn ->
+      Small (an - (bn * cn), 1)
   | Small (an, ad), Small (bn, bd), Small (cn, cd) -> (
       let g1 = gcd_int (Stdlib.abs bn) cd and g2 = gcd_int (Stdlib.abs cn) bd in
       let bn = bn / g1 and cd = cd / g1 in
       let cn = cn / g2 and bd = bd / g2 in
-      match (Bigint.checked_mul bn cn, Bigint.checked_mul bd cd) with
-      | Some pn, Some pd -> (
-          match
-            (Bigint.checked_mul an pd, Bigint.checked_mul pn ad, Bigint.checked_mul ad pd)
-          with
-          | Some x, Some y, Some d -> (
-              match Bigint.checked_sub x y with
-              | Some n -> small n d
-              | None -> sub a (mul b c))
-          | _ -> sub a (mul b c))
-      | _ -> sub a (mul b c))
+      if fits bn && fits cn && fits bd && fits cd then
+        submul_native a b c an ad (bn * cn) (bd * cd)
+      else
+        match (Bigint.checked_mul bn cn, Bigint.checked_mul bd cd) with
+        | Some pn, Some pd -> submul_native a b c an ad pn pd
+        | _ -> sub a (mul b c))
   | _ -> sub a (mul b c)
 
 let floor = function

@@ -708,6 +708,65 @@ let test_sparse_golden_counters () =
   let counter1 name = try List.assoc name (Obs.counters obs1) with Not_found -> 0 in
   Alcotest.(check int) "refactorization per pivot" 4 (counter1 "lp.refactorizations")
 
+(* Golden work profile at hypersparse scale: LP1 of seeded slotted
+   instances (hundreds of rows, a few nonzeros per column) and one tall
+   single-window gadget, under every pricing policy of the exact engine
+   and under the float engine. At this size the LU visits only a small
+   share of its stages per column and the pivot row reaches a small
+   share of the columns, so any change to the order in which the
+   kernels touch nonzeros shows up here as a changed pivot sequence,
+   cell count or fill. Columns: objective, pivots (lp.float_pivots for
+   float), lp.exact_cells, lp.priced_columns, lp.refactorizations,
+   lp.fill_nonzeros. *)
+let test_hypersparse_golden_counters () =
+  let slotted n =
+    Workload.Generate.slotted
+      ~params:{ Workload.Generate.n; horizon = 2 * n; max_length = 4; slack = 4; g = 3 }
+      ~seed:2 ()
+  in
+  let instances =
+    [ ("slotted n=40", slotted 40); ("slotted n=80", slotted 80); ("slotted n=160", slotted 160);
+      ("lp1_tall", Workload.Gadgets.lp1_tall ~g:4 ~jobs:28 ~length:3) ]
+  in
+  let engines =
+    [ ("dantzig", Lp.Revised, Lp.Dantzig); ("devex", Lp.Revised, Lp.Devex);
+      ("partial", Lp.Revised, Lp.Partial); ("float", Lp.Float_certified, Lp.Dantzig) ]
+  in
+  let golden =
+    [ ("slotted n=40", "dantzig", "125/3", 201, 10168, 53795, 4, 1837);
+      ("slotted n=40", "devex", "125/3", 200, 9883, 53530, 4, 1840);
+      ("slotted n=40", "partial", "125/3", 248, 69240, 14481, 5, 2463);
+      ("slotted n=40", "float", "125/3", 199, 1101, 0, 4, 1832);
+      ("slotted n=80", "dantzig", "515/6", 420, 26456, 227880, 7, 6497);
+      ("slotted n=80", "devex", "515/6", 418, 25418, 226800, 7, 6499);
+      ("slotted n=80", "partial", "515/6", 439, 142101, 55003, 8, 7794);
+      ("slotted n=80", "float", "515/6", 417, 2636, 0, 7, 6497);
+      ("slotted n=160", "dantzig", "2087/12", 871, 55053, 976887, 15, 30360);
+      ("slotted n=160", "devex", "2087/12", 884, 58345, 991434, 15, 30304);
+      ("slotted n=160", "partial", "2087/12", 946, 583173, 243813, 16, 33113);
+      ("slotted n=160", "float", "2087/12", 872, 5108, 0, 15, 30307);
+      ("lp1_tall", "dantzig", "21", 585, 240013, 373919, 10, 7979);
+      ("lp1_tall", "devex", "21", 441, 191656, 282191, 8, 6706);
+      ("lp1_tall", "partial", "21", 619, 433273, 135879, 14, 14219);
+      ("lp1_tall", "float", "21", 560, 3097, 0, 9, 7377) ]
+  in
+  List.iter
+    (fun (iname, ename, obj, pivots, cells, priced, refacts, fill) ->
+      let _, engine, pricing = List.find (fun (e, _, _) -> e = ename) engines in
+      let model, _ = Active.Ilp.build_lp1 (List.assoc iname instances) in
+      let obs = Obs.create () in
+      let s = get_solution (Lp.solve ~engine ~pricing ~obs model) in
+      let counter name = try List.assoc name (Obs.counters obs) with Not_found -> 0 in
+      let pin what want got = Alcotest.(check int) (Printf.sprintf "%s %s %s" iname ename what) want got in
+      Alcotest.(check string) (iname ^ " " ^ ename ^ " objective") obj
+        (Q.to_string (Lp.objective_value s));
+      pin "pivots" pivots (counter (if ename = "float" then "lp.float_pivots" else "lp.pivots"));
+      pin "exact cells" cells (counter "lp.exact_cells");
+      pin "priced columns" priced (counter "lp.priced_columns");
+      pin "refactorizations" refacts (counter "lp.refactorizations");
+      pin "fill" fill (counter "lp.fill_nonzeros"))
+    golden
+
 let cache_model k =
   (* same shape for every k — only the rhs moves — so all instances share
      one shape digest and one cache slot *)
@@ -838,6 +897,7 @@ let () =
           Alcotest.test_case "certify-fail fallback" `Quick test_certify_fail_fallback;
           Alcotest.test_case "float uses warm" `Quick test_float_uses_warm;
           Alcotest.test_case "sparse golden counters" `Quick test_sparse_golden_counters;
+          Alcotest.test_case "hypersparse golden counters" `Quick test_hypersparse_golden_counters;
           Alcotest.test_case "shape digest" `Quick test_shape_digest;
           Alcotest.test_case "basis cache" `Quick test_basis_cache;
           Alcotest.test_case "basis cache eviction" `Quick test_basis_cache_eviction ] );

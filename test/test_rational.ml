@@ -159,10 +159,101 @@ let prop_min_max =
   QCheck.Test.make ~name:"min + max = x + y" ~count:1000 (QCheck.pair rat rat) (fun (x, y) ->
       Q.equal (Q.add (Q.min x y) (Q.max x y)) (Q.add x y))
 
+(* -- representation tiers ------------------------------------------------ *)
+
+(* Values around the points where native arithmetic stops being safe:
+   2^30 and 2^31 (where a sum of two products stops fitting 62 bits),
+   max_int/2 (where a sum of two overflows), max_int and min_int+1 (the
+   widest Small values), plus zero and Big values past the native
+   range. The operands of one case share an anchor, so every component
+   sits at the same boundary at once; a quarter of the pairs share a
+   denominator. *)
+let anchor_gen = QCheck.Gen.oneofl [ 1 lsl 30; 1 lsl 31; max_int / 2; max_int ]
+
+(* within 2 of [anchor] (at most max_int), either sign *)
+let near_gen anchor =
+  QCheck.Gen.map2
+    (fun k neg ->
+      let m = if anchor = max_int then anchor - abs k else anchor + k in
+      if neg then -m else m)
+    (QCheck.Gen.int_range (-2) 2) QCheck.Gen.bool
+
+let rat_near anchor =
+  let open QCheck.Gen in
+  let near = near_gen anchor and den = map abs (near_gen anchor) in
+  let big =
+    map2 (fun n d -> Q.make (Bigint.mul (Bigint.of_int n) (Bigint.of_int max_int)) (Bigint.of_int d)) near den
+  in
+  frequency
+    [ (4, map2 q near den); (2, map (fun n -> q n 1) near); (1, map2 q (int_range (-1000) 1000) den);
+      (1, map2 q near (int_range 1 1000)); (1, return Q.zero); (1, big) ]
+
+let wide_gen = QCheck.Gen.(anchor_gen >>= rat_near)
+
+let wide_pair_gen =
+  let open QCheck.Gen in
+  anchor_gen >>= fun a ->
+  let same_den = map3 (fun x y d -> (q x d, q y d)) (near_gen a) (near_gen a) (map abs (near_gen a)) in
+  frequency [ (3, pair (rat_near a) (rat_near a)); (1, same_den) ]
+
+let wide_triple_gen = QCheck.Gen.(anchor_gen >>= fun a -> triple (rat_near a) (rat_near a) (rat_near a))
+let wide = QCheck.make wide_gen ~print:Q.to_string
+let wide_pair = QCheck.make wide_pair_gen ~print:QCheck.Print.(pair Q.to_string Q.to_string)
+
+let wide3 =
+  QCheck.make wide_triple_gen ~print:QCheck.Print.(triple Q.to_string Q.to_string Q.to_string)
+
+(* Canonical: den > 0, lowest terms, and the representation a fresh
+   normalization picks (equality is structural, so a value stuck in the
+   wrong tier compares unequal to its renormalized self). *)
+let canonical r =
+  let n = Q.num r and d = Q.den r in
+  Bigint.sign d > 0 && Bigint.is_one (Bigint.gcd n d) && Q.equal r (Q.make n d)
+
+(* [r] is canonical and equals [n/d] (d <> 0, any sign), by
+   cross-multiplication in Bigint only. *)
+let agrees r (n, d) = canonical r && Bigint.equal (Bigint.mul (Q.num r) d) (Bigint.mul n (Q.den r))
+
+let prop_wide_add_sub =
+  QCheck.Test.make ~name:"wide: add/sub agree with Bigint, canonical" ~count:3000 wide_pair
+    (fun (a, b) ->
+      let open Bigint in
+      let an = Q.num a and ad = Q.den a and bn = Q.num b and bd = Q.den b in
+      agrees (Q.add a b) ((an * bd) + (bn * ad), ad * bd)
+      && agrees (Q.sub a b) ((an * bd) - (bn * ad), ad * bd))
+
+let prop_wide_mul_div =
+  QCheck.Test.make ~name:"wide: mul/div agree with Bigint, canonical" ~count:3000 wide_pair
+    (fun (a, b) ->
+      let open Bigint in
+      let an = Q.num a and ad = Q.den a and bn = Q.num b and bd = Q.den b in
+      agrees (Q.mul a b) (an * bn, ad * bd)
+      && (Q.is_zero b || agrees (Q.div a b) (an * bd, ad * bn)))
+
+let prop_wide_submul =
+  QCheck.Test.make ~name:"wide: submul agrees with Bigint, canonical" ~count:3000 wide3
+    (fun (a, b, c) ->
+      let open Bigint in
+      let an = Q.num a and ad = Q.den a in
+      let bn = Q.num b and bd = Q.den b and cn = Q.num c and cd = Q.den c in
+      agrees (Q.submul a b c) ((an * bd * cd) - (bn * cn * ad), ad * bd * cd))
+
+let prop_wide_compare =
+  QCheck.Test.make ~name:"wide: compare agrees with Bigint" ~count:3000 wide_pair (fun (a, b) ->
+      let sgn x = Stdlib.compare x 0 in
+      let want = sgn (Bigint.compare (Bigint.mul (Q.num a) (Q.den b)) (Bigint.mul (Q.num b) (Q.den a))) in
+      sgn (Q.compare a b) = want && sgn (Q.compare b a) = -want && Q.compare a a = 0)
+
+let prop_wide_abs_neg =
+  QCheck.Test.make ~name:"wide: abs/neg agree with Bigint, canonical" ~count:3000 wide (fun a ->
+      agrees (Q.neg a) (Bigint.neg (Q.num a), Q.den a)
+      && agrees (Q.abs a) (Bigint.abs (Q.num a), Q.den a))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_field_assoc; prop_distributive; prop_inverse; prop_normalized; prop_floor_ceil_bracket;
-      prop_order_compatible; prop_string_roundtrip; prop_floor_shift; prop_abs_sign; prop_min_max ]
+      prop_order_compatible; prop_string_roundtrip; prop_floor_shift; prop_abs_sign; prop_min_max;
+      prop_wide_add_sub; prop_wide_mul_div; prop_wide_submul; prop_wide_compare; prop_wide_abs_neg ]
 
 let () =
   Alcotest.run "rational"
