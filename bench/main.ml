@@ -1081,7 +1081,7 @@ let e21 () =
     (fun (name, build) ->
       let m = build () in
       let rd = Lp.solve ~engine:Lp.Dense m in
-      let rr = Lp.solve ~engine:Lp.Revised m in
+      let rr = Lp.solve ~engine:Lp.Sparse m in
       if describe rd <> describe rr then
         complain "%s: engines disagree (dense %s, revised %s)" name (describe rd) (describe rr);
       match (rd, rr) with
@@ -1134,8 +1134,8 @@ let e21 () =
     fixed_open.(i) <- not fixed_open.(i);
     Lp.set_bounds m yv ~lower:(if fixed_open.(i) then Q.one else Q.zero) ~upper:(Some Q.one);
     let rd = Lp.solve ~engine:Lp.Dense m in
-    let rr = Lp.solve ~engine:Lp.Revised m in
-    let rw = Lp.solve ~engine:Lp.Revised ?warm:!warm m in
+    let rr = Lp.solve ~engine:Lp.Sparse m in
+    let rw = Lp.solve ~engine:Lp.Sparse ?warm:!warm m in
     if describe rd <> describe rr || describe rr <> describe rw then
       complain "warm probes round %d: results differ (dense %s, cold %s, warm %s)" round
         (describe rd) (describe rr) (describe rw);
@@ -1324,7 +1324,7 @@ let e23 () =
   List.iter
     (fun (name, build) ->
       let m = build () in
-      let rr, tr = timed_solve ~engine:Lp.Revised m in
+      let rr, tr = timed_solve ~engine:Lp.Sparse m in
       let obs = Obs.create () in
       let rf, tf = timed_solve ~obs ~engine:Lp.Float_certified m in
       exact_times := tr @ !exact_times;
@@ -1420,16 +1420,14 @@ let e23 () =
 let e24 () =
   header "E24: LP engines - sparse LU basis algebra, eta updates, warm floats";
   pr "The e21 LP families plus the block-diagonal sparse_wide gadget,\n";
-  pr "solved four ways: dense tableau, the revised engine (since 1.9 the\n";
-  pr "same sparse LU driver as `sparse`: CSC matrix, fill-minimizing\n";
-  pr "ordering, product-form eta updates), the sparse engine, and the\n";
+  pr "solved three ways: dense tableau, the sparse engine (CSC matrix,\n";
+  pr "fill-minimizing ordering, product-form eta updates), and the\n";
   pr "sparse engine warm from its own optimal basis. Work =\n";
   pr "tableau_cells, the scalar cell operations actually touched.\n";
   pr "Objectives are golden (engines agree; sparse_wide matches its\n";
-  pr "closed-form LP1 optimum blocks*(g+1)/g) and sparse pivots must\n";
-  pr "equal revised pivots. Gates: sparse work >= 3x below the dense\n";
-  pr "tableau on sparse_wide, and float ?warm re-solves must beat float\n";
-  pr "cold on the e21 warm-probe rounds.\n\n";
+  pr "closed-form LP1 optimum blocks*(g+1)/g). Gates: sparse work >= 3x\n";
+  pr "below the dense tableau on sparse_wide, and float ?warm re-solves\n";
+  pr "must beat float cold on the e21 warm-probe rounds.\n\n";
   let drift = ref [] in
   let complain fmt = Printf.ksprintf (fun s -> drift := s :: !drift) fmt in
   let lp1_seeds = if !quick then [ 3 ] else [ 3; 8; 9 ] in
@@ -1462,27 +1460,23 @@ let e24 () =
   let wide_dense = ref 0 and wide_sparse = ref 0 in
   table_row
     (List.map col
-       [ "model"; "objective"; "dense"; "revised"; "sparse"; "sp+warm"; "dn/sparse"; "etas"; "refac" ]);
+       [ "model"; "objective"; "dense"; "sparse"; "sp+warm"; "dn/sparse"; "etas"; "refac" ]);
   List.iter
     (fun (name, build, golden) ->
       let m = build () in
       let rd = Lp.solve ~engine:Lp.Dense m in
-      let rr = Lp.solve ~engine:Lp.Revised m in
       let obs = Obs.create () in
       let rs = Lp.solve ~obs ~engine:Lp.Sparse m in
-      match (rd, rr, rs) with
-      | Lp.Optimal sd, Lp.Optimal sr, Lp.Optimal ss ->
+      match (rd, rs) with
+      | Lp.Optimal sd, Lp.Optimal ss ->
           let obj = Lp.objective_value ss in
-          if not (Q.equal (Lp.objective_value sd) obj && Q.equal (Lp.objective_value sr) obj)
-          then complain "%s: engines disagree on the objective" name;
+          if not (Q.equal (Lp.objective_value sd) obj) then
+            complain "%s: engines disagree on the objective" name;
           (match golden with
           | Some want when not (Q.equal obj want) ->
               complain "%s: objective %s, closed form wants %s" name (Q.to_string obj)
                 (Q.to_string want)
           | _ -> ());
-          if Lp.pivots sr <> Lp.pivots ss then
-            complain "%s: sparse pivots %d differ from revised %d" name (Lp.pivots ss)
-              (Lp.pivots sr);
           (* warm re-solve from the sparse engine's own optimal basis:
              the factorization rebuilds, the simplex confirms in 0 pivots *)
           let warm_work =
@@ -1496,9 +1490,7 @@ let e24 () =
                 0
           in
           let counter n = match List.assoc_opt n (Obs.counters obs) with Some v -> v | None -> 0 in
-          let cd = Lp.tableau_cells sd
-          and cr = Lp.tableau_cells sr
-          and cs = Lp.tableau_cells ss in
+          let cd = Lp.tableau_cells sd and cs = Lp.tableau_cells ss in
           let ratio = float_of_int cd /. float_of_int (max 1 cs) in
           if String.length name >= 4 && String.sub name 0 4 = "wide" then begin
             wide_dense := !wide_dense + cd;
@@ -1506,13 +1498,12 @@ let e24 () =
           end;
           table_row
             (List.map col
-               [ name; Q.to_string obj; string_of_int cd; string_of_int cr; string_of_int cs;
+               [ name; Q.to_string obj; string_of_int cd; string_of_int cs;
                  string_of_int warm_work; Printf.sprintf "%.1fx" ratio;
                  string_of_int (counter "lp.eta_updates");
                  string_of_int (counter "lp.refactorizations") ]);
           let key k v = Obs.add !bench_obs (Printf.sprintf "e24.%s.%s" name k) v in
           key "dense_work" cd;
-          key "revised_work" cr;
           key "sparse_work" cs;
           key "warm_work" warm_work;
           key "pivots" (Lp.pivots ss);
@@ -1695,23 +1686,23 @@ let e25 () =
 (* ---------------------------------------------------------------- e26 -- *)
 
 let e26 () =
-  header "E26: simplex pricing policies - dantzig vs partial vs devex";
+  header "E26: simplex pricing policies - dantzig vs devex";
   pr "The e21 LP1 family, the block-diagonal sparse_wide gadget and the\n";
   pr "tall single-window lp1_tall gadget, each solved by the sparse\n";
-  pr "engine under all three pricing policies. Priced = lp.priced_columns,\n";
+  pr "engine under both pricing policies. Priced = lp.priced_columns,\n";
   pr "the reduced costs actually inspected while choosing entering\n";
   pr "columns (dantzig maintains the whole nonbasic row every pivot;\n";
-  pr "partial reprices only a bounded candidate list from fresh duals;\n";
   pr "devex pays dantzig's scan but weights it to pivot less on tall\n";
-  pr "models). Objectives are golden across policies - pricing changes\n";
-  pr "the route, never the optimum. Gates: partial prices >= 2x fewer\n";
-  pr "columns than dantzig on sparse_wide, and devex takes no more\n";
-  pr "pivots than dantzig on every lp1_tall row.\n\n";
+  pr "models). ms = median wall time per solve, reported, not gated.\n";
+  pr "Objectives are golden across policies - pricing changes the\n";
+  pr "route, never the optimum. Gate: devex takes no more pivots than\n";
+  pr "dantzig on every lp1_tall row.\n\n";
   let drift = ref [] in
   let complain fmt = Printf.ksprintf (fun s -> drift := s :: !drift) fmt in
   let lp1_seeds = if !quick then [ 3 ] else [ 3; 8; 9 ] in
   let wide_blocks = if !quick then [ 2 ] else [ 2; 4; 8 ] in
   let tall_jobs = if !quick then [ 12 ] else [ 9; 12; 18 ] in
+  let repeats = if !quick then 5 else 7 in
   let wide_g = 16 and wide_width = 24 in
   let tall_g = 3 and tall_length = 2 in
   let params : Gen.slotted_params = { n = 10; horizon = 16; max_length = 4; slack = 4; g = 2 } in
@@ -1737,73 +1728,58 @@ let e26 () =
             Some (Gad.lp1_tall_lp_opt ~g:tall_g ~jobs:j ~length:tall_length) ))
         tall_jobs
   in
-  let policies = [ ("dantzig", Lp.Dantzig); ("partial", Lp.Partial); ("devex", Lp.Devex) ] in
-  let wide_dz = ref 0 and wide_pp = ref 0 in
   table_row
     (List.map col
-       [ "model"; "objective"; "dz piv"; "dz priced"; "pp piv"; "pp priced"; "dx piv";
-         "dx priced"; "dz/pp" ]);
+       [ "model"; "objective"; "dz piv"; "dz priced"; "dz ms"; "dx piv"; "dx priced"; "dx ms" ]);
   List.iter
     (fun (name, build, golden) ->
       let m = build () in
-      let runs =
-        List.map
-          (fun (pname, pricing) ->
-            let obs = Obs.create () in
-            match Lp.solve ~obs ~engine:Lp.Sparse ~pricing m with
-            | Lp.Optimal s ->
-                let counter n =
-                  match List.assoc_opt n (Obs.counters obs) with Some v -> v | None -> 0
-                in
-                ( pname, Lp.objective_value s, Lp.pivots s, counter "lp.priced_columns",
-                  counter "lp.candidate_refills", counter "lp.devex_resets" )
-            | _ ->
-                complain "%s/%s: expected Optimal" name pname;
-                (pname, Q.zero, 0, 0, 0, 0))
-          policies
+      (* counters from the first solve; wall = median over [repeats] *)
+      let run pricing =
+        let obs = Obs.create () in
+        let first = Lp.solve ~obs ~engine:Lp.Sparse ~pricing m in
+        let times =
+          List.init repeats (fun _ ->
+              let t0 = Unix.gettimeofday () in
+              ignore (Lp.solve ~engine:Lp.Sparse ~pricing m);
+              Unix.gettimeofday () -. t0)
+        in
+        let wall_ms = 1000.0 *. List.nth (List.sort compare times) (repeats / 2) in
+        let counter n = match List.assoc_opt n (Obs.counters obs) with Some v -> v | None -> 0 in
+        match first with
+        | Lp.Optimal s ->
+            ( Lp.objective_value s, Lp.pivots s, counter "lp.priced_columns",
+              counter "lp.devex_resets", wall_ms )
+        | _ ->
+            complain "%s/%s: expected Optimal" name (Lp.pricing_name pricing);
+            (Q.zero, 0, 0, 0, wall_ms)
       in
-      let get p = List.find (fun (pname, _, _, _, _, _) -> pname = p) runs in
-      let _, obj_dz, piv_dz, pr_dz, _, _ = get "dantzig" in
-      let _, obj_pp, piv_pp, pr_pp, refills, _ = get "partial" in
-      let _, obj_dx, piv_dx, pr_dx, _, resets = get "devex" in
-      if not (Q.equal obj_dz obj_pp && Q.equal obj_dz obj_dx) then
+      let obj_dz, piv_dz, pr_dz, _, ms_dz = run Lp.Dantzig in
+      let obj_dx, piv_dx, pr_dx, resets, ms_dx = run Lp.Devex in
+      if not (Q.equal obj_dz obj_dx) then
         complain "%s: pricing policies disagree on the objective" name;
       (match golden with
       | Some want when not (Q.equal obj_dz want) ->
           complain "%s: objective %s, closed form wants %s" name (Q.to_string obj_dz)
             (Q.to_string want)
       | _ -> ());
-      if String.length name >= 4 && String.sub name 0 4 = "wide" then begin
-        wide_dz := !wide_dz + pr_dz;
-        wide_pp := !wide_pp + pr_pp
-      end;
       if String.length name >= 4 && String.sub name 0 4 = "tall" && piv_dx > piv_dz then
         complain "%s: devex pivots %d exceed dantzig %d (gate: <=)" name piv_dx piv_dz;
-      let ratio = float_of_int pr_dz /. float_of_int (max 1 pr_pp) in
       table_row
         (List.map col
            [ name; Q.to_string obj_dz; string_of_int piv_dz; string_of_int pr_dz;
-             string_of_int piv_pp; string_of_int pr_pp; string_of_int piv_dx;
-             string_of_int pr_dx; Printf.sprintf "%.1fx" ratio ]);
+             Printf.sprintf "%.1f" ms_dz; string_of_int piv_dx; string_of_int pr_dx;
+             Printf.sprintf "%.1f" ms_dx ]);
       let key k v = Obs.add !bench_obs (Printf.sprintf "e26.%s.%s" name k) v in
+      let us ms = int_of_float (ms *. 1000.0) in
       key "dantzig_pivots" piv_dz;
       key "dantzig_priced" pr_dz;
-      key "partial_pivots" piv_pp;
-      key "partial_priced" pr_pp;
-      key "partial_refills" refills;
+      key "dantzig_wall_us" (us ms_dz);
       key "devex_pivots" piv_dx;
       key "devex_priced" pr_dx;
-      key "devex_resets" resets)
+      key "devex_resets" resets;
+      key "devex_wall_us" (us ms_dx))
     families;
-  let wide_ratio = float_of_int !wide_dz /. float_of_int (max 1 !wide_pp) in
-  pr "\nsparse_wide priced columns: dantzig %d, partial %d (%.1fx less)\n" !wide_dz !wide_pp
-    wide_ratio;
-  Obs.add !bench_obs "e26.wide.dantzig_priced_total" !wide_dz;
-  Obs.add !bench_obs "e26.wide.partial_priced_total" !wide_pp;
-  Obs.add !bench_obs "e26.wide.ratio_x100" (int_of_float (wide_ratio *. 100.0));
-  if wide_ratio < 2.0 then
-    complain "sparse_wide: partial prices only %.2fx fewer columns than dantzig (gate: >= 2x)"
-      wide_ratio;
   if !drift <> [] then begin
     pr "\nE26 FAILED:\n";
     List.iter (pr "  %s\n") (List.rev !drift);

@@ -104,7 +104,7 @@ let resolve kind name =
               name (CI.kind_name kind)
               (String.concat "|" (Core.Registry.names kind))))
 
-(* --lp-engine resolves against Lp's engine registry with the same
+(* --lp-engine resolves against Lp's engine names with the same
    unknown-name UX as --algorithm: exit 2 listing the valid names. *)
 let resolve_lp_engine name =
   match Lp.engine_of_name name with
@@ -447,10 +447,10 @@ let format_arg =
   Arg.(value & opt string "text" & info [ "format" ] ~docv:"FMT" ~doc:"output format: text (human-readable, default) or json (one telemetry document on stdout)")
 
 let lp_engine_arg =
-  Arg.(value & opt string "revised" & info [ "lp-engine" ] ~docv:"ENGINE" ~doc:"simplex engine for LP-backed solvers: revised (default), dense, sparse (LU + eta updates), or float (certified; see --list-solvers)")
+  Arg.(value & opt string "revised" & info [ "lp-engine" ] ~docv:"ENGINE" ~doc:"simplex engine for LP-backed solvers: revised (default; another name for sparse), dense, sparse (LU + eta updates), or float (certified; see --list-solvers)")
 
 let lp_pricing_arg =
-  Arg.(value & opt string "dantzig" & info [ "lp-pricing" ] ~docv:"PRICING" ~doc:"simplex pricing policy for LP-backed solvers: dantzig (full scan, default), partial (candidate list), or devex (reference weights; see --list-solvers)")
+  Arg.(value & opt string "dantzig" & info [ "lp-pricing" ] ~docv:"PRICING" ~doc:"simplex pricing policy for LP-backed solvers: dantzig (full scan, default) or devex (reference weights; see --list-solvers)")
 
 let active_cmd =
   let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in

@@ -15,7 +15,9 @@ val build_lp1 : Workload.Slotted.t -> Lp.model * (int * Lp.var) list
 
 (** LP1 with per-slot fixings ([Some true/false] pins y to 1/0); returns
     the objective and y values, or [None] when infeasible. Exposed for
-    the pricing-rule ablation; [engine] selects the simplex engine. *)
+    the pricing-rule ablation; [engine] and [pricing] select the simplex
+    engine and pricing policy (defaults {!Lp.default_engine},
+    {!Lp.default_pricing}). *)
 val solve_lp :
   ?rule:Lp.pivot_rule ->
   ?engine:Lp.engine ->
@@ -36,7 +38,7 @@ val solve_lp :
     One LP1 model serves the whole search tree: each node rewrites the
     branching bounds with {!Lp.set_bounds} and re-solves warm from its
     parent's optimal basis ([engine] defaults to {!Lp.default_engine}; with
-    [Dense] there is no basis to reuse and every node solves cold).
+    {!Lp.Dense} there is no basis to reuse and every node solves cold).
 
     With [?obs], runs inside an [active.ilp] span and records
     [active.ilp.nodes] / [active.ilp.lp_solves] plus the nested [lp.*]

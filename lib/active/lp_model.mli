@@ -23,8 +23,9 @@ val y_at : t -> int -> Rational.t
 
 (** [None] iff the instance is infeasible. With [budget], each simplex
     pivot costs one tick and exhaustion raises {!Budget.Out_of_fuel}.
-    [?obs], [?engine] (default {!Lp.default_engine}) and [?pricing] are
-    forwarded to {!Lp.solve}. *)
+    [?obs], [?engine] (default {!Lp.default_engine}) and [?pricing]
+    (default {!Lp.default_pricing}; {!Lp.Dense} ignores it) are forwarded
+    to {!Lp.solve}. *)
 val solve :
   ?engine:Lp.engine ->
   ?pricing:Lp.pricing ->

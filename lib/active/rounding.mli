@@ -24,7 +24,10 @@ exception Infeasible_instance
     of cost at most twice the LP optimum. With [budget], the underlying
     simplex ticks once per pivot and exhaustion raises
     {!Budget.Out_of_fuel} (the deadline sweep after the LP is polynomial
-    and not metered).
+    and not metered). [engine] and [pricing] are forwarded to
+    {!Lp.solve} (defaults {!Lp.default_engine}, {!Lp.default_pricing});
+    every engine returns the same exact LP1 optimum, so they change the
+    work, not the answer.
 
     With [?obs], runs inside an [active.rounding] span and records
     [active.rounding.blocks] (deadline blocks swept),

@@ -29,12 +29,13 @@ val check : Workload.Bjob.t list -> solution -> string option
 (** Independent exactness oracle: the unbounded preemptive optimum as an
     LP over the event grid (open [y_c <= |c|] inside each cell, serve
     [x_{j,c} <= y_c]). The tests check [unbounded] matches it.
-    [engine] selects the simplex engine (default {!Lp.default_engine}). *)
+    [engine] selects the simplex engine (default {!Lp.default_engine};
+    every engine returns the same exact optimum). *)
 val lp_optimum : ?engine:Lp.engine -> Workload.Bjob.t list -> Rational.t
 
 (** The event-grid LP behind {!lp_optimum}, as a bare model (objective
     [min sum y_c]); exposed so the engine bench (experiment E21) can
-    solve one model under both engines and read the pivot/tableau
+    solve one model under each engine and read the pivot/tableau
     telemetry. *)
 val lp_model : Workload.Bjob.t list -> Lp.model
 

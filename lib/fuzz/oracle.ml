@@ -173,45 +173,36 @@ let check_probe_modes ~fuel (inst : S.t) =
         else None);
     ]
 
-(* LP-engine differential: every (engine x pricing) combination
-   registered with Lp — the bounded-variable revised simplex, the dense
-   reference tableau, the certified float engine, each under Dantzig,
-   devex and candidate-list partial pricing — must give every LP the
-   same status and objective (for the float engine this exercises
-   certification and its exact fallback; for the pricing policies it
-   pins that candidate-queue refills and devex reference resets never
-   change the answer). Checked on the instance's LP1 relaxation (shared
-   by every LP-backed solver); a fuel exhaustion under any combination
-   skips that comparison rather than reporting it. *)
+(* LP-engine differential: every (engine, pricing) pair the code can
+   tell apart — the dense reference tableau (which ignores pricing),
+   then the exact sparse driver and the certified float engine under
+   Dantzig and devex — must give every LP the same status and
+   objective as the default (sparse, Dantzig) solve. For the float
+   engine this exercises certification and its exact fallback; for
+   devex it pins that reference resets never change the answer.
+   Checked on the instance's LP1 relaxation (shared by every LP-backed
+   solver); a fuel exhaustion under any pair skips that comparison
+   rather than reporting it. *)
 let check_lp_engines ~fuel (inst : S.t) =
   guard "lp-engine-differential" @@ fun () ->
-  let run engine pricing =
+  let run (engine, pricing) =
     try `Done (Active.Lp_model.solve ~engine ~pricing ~budget:(Budget.limited fuel) inst)
     with Budget.Out_of_fuel -> `Fuel
   in
-  let baseline_name = Lp.engine_name Lp.default_engine in
-  let combos =
-    List.concat_map
-      (fun e -> List.map (fun p -> (e, p)) (Lp.pricing_names ()))
-      (Lp.engine_names ())
+  let name (engine, pricing) = Lp.engine_name engine ^ "/" ^ Lp.pricing_name pricing in
+  let base = (Lp.default_engine, Lp.default_pricing) in
+  let others =
+    [ (Lp.Dense, Lp.Dantzig); (Lp.Sparse, Lp.Devex); (Lp.Float_certified, Lp.Dantzig);
+      (Lp.Float_certified, Lp.Devex) ]
   in
-  match run Lp.default_engine Lp.default_pricing with
+  match run base with
   | `Fuel -> None
   | `Done baseline ->
       List.fold_left
-        (fun acc (ename, pname) ->
-          if
-            acc <> None
-            || (String.equal ename baseline_name
-               && String.equal pname (Lp.pricing_name Lp.default_pricing))
-          then acc
+        (fun acc pair ->
+          if acc <> None then acc
           else
-            let name = ename ^ "/" ^ pname in
-            match
-              run
-                (Option.get (Lp.engine_of_name ename))
-                (Option.get (Lp.pricing_of_name pname))
-            with
+            match run pair with
             | `Fuel -> None
             | `Done other -> (
                 match (baseline, other) with
@@ -219,18 +210,18 @@ let check_lp_engines ~fuel (inst : S.t) =
                     if Q.equal a.Active.Lp_model.cost b.Active.Lp_model.cost then None
                     else
                       fail "lp-engine-differential" "LP1 objective differs: %s %s, %s %s"
-                        baseline_name
+                        (name base)
                         (Q.to_string a.Active.Lp_model.cost)
-                        name
+                        (name pair)
                         (Q.to_string b.Active.Lp_model.cost)
                 | None, None -> None
                 | Some _, None ->
                     fail "lp-engine-differential" "%s says feasible, %s says infeasible"
-                      baseline_name name
+                      (name base) (name pair)
                 | None, Some _ ->
-                    fail "lp-engine-differential" "%s says feasible, %s says infeasible" name
-                      baseline_name))
-        None combos
+                    fail "lp-engine-differential" "%s says feasible, %s says infeasible"
+                      (name pair) (name base)))
+        None others
 
 let check_slotted ~fuel (inst : S.t) =
   guard "slotted-oracle" @@ fun () ->

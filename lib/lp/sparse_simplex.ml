@@ -4,7 +4,7 @@
    float with epsilon tolerances it is the float engine's pivoting hot
    path (whose proposed basis Lp certifies exactly afterwards).
 
-   Unlike the dense revised engine there is no maintained tableau, only
+   Unlike the dense tableau engine there is no maintained tableau, only
    a maintained reduced-cost row: it is priced once per phase by one
    BTRAN (y = B^-T c_B) plus one sparse dot product per column, then
    updated after each pivot from the post-pivot tableau row
@@ -15,24 +15,18 @@
    are product-form eta updates with periodic refactorization
    (Slu.should_refactor).
 
-   The pivot rules mirror the revised engine: Dantzig pricing switching
+   The pivot rules are the dense engine's — Dantzig pricing switching
    to Bland's rule after [degen_threshold] consecutive degenerate
-   pivots, ratio-test ties to the smallest basic column index, bound
-   flips preferred on equal step length.
+   pivots, ratio-test ties to the smallest basic column index — plus
+   bound flips, preferred on equal step length.
 
-   Pricing is a policy seam (the [pricing] config field). [Dantzig] is
-   the default above and stays pivot-identical to the revised engine.
-   [Partial] is candidate-list partial pricing: a bounded queue of
-   profitable columns priced fresh against the current duals each
-   iteration (one BTRAN), refilled by a rotating sweep only when it
-   runs dry — the maintained reduced-cost row and its per-pivot
-   full-width update are skipped entirely. [Devex] keeps the
-   maintained row but selects by approximate steepest edge
-   d_j^2 / w_j, with reference weights updated from the same
-   post-pivot row the maintenance loop already computes and a
-   framework reset when a weight outgrows the cap. *)
+   Pricing is a policy (the [pricing] config field). [Dantzig] is the
+   default above. [Devex] keeps the same maintained row but selects by
+   approximate steepest edge d_j^2 / w_j, with reference weights
+   updated from the same post-pivot row the maintenance loop already
+   computes and a framework reset when a weight outgrows the cap. *)
 
-type pricing = Dantzig | Partial | Devex
+type pricing = Dantzig | Devex
 
 type vstat = Vlo | Vhi | Vbas
 
@@ -59,7 +53,7 @@ type spec = {
    the lp.pivots family; the float engine counts lp.float_pivots only
    (its pivots are disposable — certification decides what they are
    worth). [c_price] gates the pricing-work family (lp.priced_columns,
-   lp.candidate_refills, lp.devex_resets) the same way. *)
+   lp.devex_resets) the same way. *)
 type counters = {
   c_pivots : string;
   c_phase1 : bool;
@@ -158,23 +152,15 @@ module Make (S : Scalar.S) = struct
     cost : S.t array; (* current phase costs *)
     d : S.t array; (* maintained reduced costs (zero on basics) *)
     priced : int ref; (* nonbasic columns a pricing pass or row update covers *)
-    refills : int ref; (* candidate-queue refill sweeps (Partial) *)
     resets : int ref; (* reference-framework resets (Devex) *)
     dw : S.t array; (* devex reference weights (>= 1 on nonbasics) *)
-    cand : int array; (* partial-pricing candidate queue *)
     alpha : S.t array; (* pivot-row scratch: all zero between rows *)
     in_row : bool array; (* column reached by the current pivot row *)
     reach : int array; (* reached columns *)
-    mutable cand_n : int;
-    mutable cursor : int; (* rotating refill position *)
     mutable fact : F.fact;
     mutable z : S.t;
     mutable steps : int;
   }
-
-  (* bounded queue: big enough to amortize refill sweeps, small enough
-     that re-pricing it each iteration stays far below a full scan *)
-  let candidate_capacity n = Stdlib.max 8 (Stdlib.min 64 (n / 8))
 
   (* devex weights past this trigger a reference-framework reset *)
   let devex_weight_cap = S.of_q (Rational.of_int 1_000_000)
@@ -182,10 +168,8 @@ module Make (S : Scalar.S) = struct
   let flush_pricing st =
     if st.cfg.counters.c_price then begin
       if !(st.priced) > 0 then Obs.add st.obs "lp.priced_columns" !(st.priced);
-      if !(st.refills) > 0 then Obs.add st.obs "lp.candidate_refills" !(st.refills);
       if !(st.resets) > 0 then Obs.add st.obs "lp.devex_resets" !(st.resets);
       st.priced := 0;
-      st.refills := 0;
       st.resets := 0
     end
 
@@ -332,87 +316,10 @@ module Make (S : Scalar.S) = struct
     done;
     Option.map (fun (j, d, _, _) -> (j, d)) !best
 
-  (* Candidate-list partial pricing: one BTRAN per iteration prices the
-     bounded queue fresh; entries gone basic or no longer profitable
-     drop out. Only when the queue runs dry does a rotating sweep from
-     [cursor] refill it — and a full wrap that finds nothing profitable
-     is the optimality proof, the same certificate a full Dantzig scan
-     gives. Under Bland mode the queue is bypassed entirely: a full
-     fresh sweep taking the first eligible index preserves the
-     anti-cycling guarantee. *)
-  let price_partial st ~bland =
-    let n = st.pb.pn in
-    let y = dual st in
-    let reprice j =
-      incr st.priced;
-      let d = S.sub st.cost.(j) (dot_col st y j) in
-      st.d.(j) <- d;
-      d
-    in
-    if bland then begin
-      let r = ref None in
-      (try
-         for j = 0 to n - 1 do
-           if st.enterable.(j) && st.stat.(j) <> Vbas then begin
-             let d = reprice j in
-             if eligible_d st j d then begin
-               r := Some (j, d);
-               raise Exit
-             end
-           end
-         done
-       with Exit -> ());
-      !r
-    end
-    else begin
-      let keep = ref 0 in
-      let best = ref None in
-      let consider j d =
-        let score = S.abs d in
-        match !best with
-        | Some (_, _, s) when S.compare s score >= 0 -> ()
-        | _ -> best := Some (j, d, score)
-      in
-      for i = 0 to st.cand_n - 1 do
-        let j = st.cand.(i) in
-        if st.enterable.(j) && st.stat.(j) <> Vbas then begin
-          let d = reprice j in
-          if eligible_d st j d then begin
-            st.cand.(!keep) <- j;
-            incr keep;
-            consider j d
-          end
-        end
-      done;
-      st.cand_n <- !keep;
-      (* every surviving entry is profitable, so an empty [best] means
-         an empty queue: sweep at most one full wrap for new blood *)
-      if !best = None then begin
-        incr st.refills;
-        let cap = Array.length st.cand in
-        let scanned = ref 0 in
-        while st.cand_n < cap && !scanned < n do
-          let j = st.cursor in
-          st.cursor <- (st.cursor + 1) mod n;
-          incr scanned;
-          if st.enterable.(j) && st.stat.(j) <> Vbas then begin
-            let d = reprice j in
-            if eligible_d st j d then begin
-              st.cand.(st.cand_n) <- j;
-              st.cand_n <- st.cand_n + 1;
-              consider j d
-            end
-          end
-        done
-      end;
-      Option.map (fun (j, d, _) -> (j, d)) !best
-    end
-
   let select_entering st ~bland =
     match st.cfg.pricing with
     | Dantzig -> price st ~bland
     | Devex -> if bland then price st ~bland:true else price_devex st
-    | Partial -> price_partial st ~bland
 
   (* append the eta for the basis change at [pos]; refactorize when the
      eta pivot is unusable or the eta file has grown past the policy *)
@@ -433,14 +340,9 @@ module Make (S : Scalar.S) = struct
   type r_outcome = O_opt | O_unbd
 
   let run_primal st ~phase1 =
-    (* per-phase pricing state: fresh candidate queue, fresh reference
-       framework (a phase boundary changes every reduced cost anyway) *)
-    (match st.cfg.pricing with
-    | Dantzig -> ()
-    | Partial ->
-        st.cand_n <- 0;
-        st.cursor <- 0
-    | Devex -> Array.fill st.dw 0 (Array.length st.dw) S.one);
+    (* per-phase devex state: fresh reference framework (a phase
+       boundary changes every reduced cost anyway) *)
+    if st.cfg.pricing = Devex then Array.fill st.dw 0 (Array.length st.dw) S.one;
     let bland = ref st.cfg.bland_always in
     let stalled = ref 0 in
     let outcome = ref None in
@@ -514,43 +416,37 @@ module Make (S : Scalar.S) = struct
               st.stat.(q) <- Vbas;
               st.basis.(r) <- q;
               post_pivot st ~pos:r ~w;
-              (match st.cfg.pricing with
-              | Partial ->
-                  (* no maintained row: the next iteration prices its
-                     candidates fresh against the new duals *)
-                  st.d.(q) <- S.zero
-              | (Dantzig | Devex) as pricing ->
-                  (* maintain the reduced-cost row from the post-pivot
-                     tableau row r: alpha_rj = rho . A_j,
-                     d_j -= d_q alpha_rj (covers the leaving column:
-                     its old d was zero). Devex rides the same row:
-                     w_j := max(w_j, alpha_rj^2 w_q), with the leaving
-                     column re-seeded at the weight floor first. *)
-                  let devex = pricing = Devex in
-                  let wq = if devex then st.dw.(q) else S.one in
-                  if devex then st.dw.(k) <- S.one;
-                  let grown = ref false in
-                  let rho = btran_unit st r in
-                  st.priced := !(st.priced) + st.pb.pn - st.pb.pm;
-                  iter_pivot_row st rho
-                    ~keep:(fun j -> st.stat.(j) <> Vbas)
-                    (fun j a ->
-                      if not (S.is_zero a) then begin
-                        incr st.ops;
-                        st.d.(j) <- S.submul st.d.(j) d a;
-                        if devex then begin
-                          let cand = S.mul (S.mul a a) wq in
-                          if S.compare cand st.dw.(j) > 0 then begin
-                            st.dw.(j) <- cand;
-                            if S.compare cand devex_weight_cap > 0 then grown := true
-                          end
-                        end
-                      end);
-                  st.d.(q) <- S.zero;
-                  if devex && !grown then begin
-                    Array.fill st.dw 0 (Array.length st.dw) S.one;
-                    incr st.resets
+              (* maintain the reduced-cost row from the post-pivot
+                 tableau row r: alpha_rj = rho . A_j, d_j -= d_q alpha_rj
+                 (covers the leaving column: its old d was zero). Devex
+                 rides the same row: w_j := max(w_j, alpha_rj^2 w_q),
+                 with the leaving column re-seeded at the weight floor
+                 first. *)
+              let devex = st.cfg.pricing = Devex in
+              let wq = if devex then st.dw.(q) else S.one in
+              if devex then st.dw.(k) <- S.one;
+              let grown = ref false in
+              let rho = btran_unit st r in
+              st.priced := !(st.priced) + st.pb.pn - st.pb.pm;
+              iter_pivot_row st rho
+                ~keep:(fun j -> st.stat.(j) <> Vbas)
+                (fun j a ->
+                  if not (S.is_zero a) then begin
+                    incr st.ops;
+                    st.d.(j) <- S.submul st.d.(j) d a;
+                    if devex then begin
+                      let cand = S.mul (S.mul a a) wq in
+                      if S.compare cand st.dw.(j) > 0 then begin
+                        st.dw.(j) <- cand;
+                        if S.compare cand devex_weight_cap > 0 then grown := true
+                      end
+                    end
                   end);
+              st.d.(q) <- S.zero;
+              if devex && !grown then begin
+                Array.fill st.dw 0 (Array.length st.dw) S.one;
+                incr st.resets
+              end;
               incr st.pivots;
               Obs.incr st.obs st.cfg.counters.c_pivots;
               if phase1 && st.cfg.counters.c_phase1 then
@@ -581,9 +477,8 @@ module Make (S : Scalar.S) = struct
     Opt { o_z = st.z; o_stat = st.stat; o_basis = st.basis; o_xb = st.xb }
 
   (* Dual simplex repairing primal feasibility from a dual-feasible
-     basis after a bound change. Mirrors Lp.dual_repair; raises
-     Warm_failed at the pivot cap, returns false when the LP is primal
-     infeasible. *)
+     basis after a bound change. Raises Warm_failed at the pivot cap,
+     returns false when the LP is primal infeasible. *)
   let dual_repair st =
     let cfg = st.cfg and pb = st.pb in
     let m = pb.pm and n = pb.pn in
@@ -671,18 +566,10 @@ module Make (S : Scalar.S) = struct
     done;
     !feasible
 
-  let fresh_pricing_state n =
-    ( ref 0,
-      ref 0,
-      ref 0,
-      Array.make n S.one,
-      Array.make (candidate_capacity n) 0 )
-
   let solve_cold (cfg : S.t config) (pb : problem) ~budget ~obs ~pivots ~ops =
     let m = pb.pm and n = pb.pn in
     let basis = Array.copy pb.pbasis0 in
     let fact = factor_basis ~ops ~obs pb basis in
-    let priced, refills, resets, dw, cand = fresh_pricing_state n in
     let st =
       {
         pb;
@@ -698,16 +585,12 @@ module Make (S : Scalar.S) = struct
         enterable = Array.init n (fun j -> not pb.pfixed.(j));
         cost = Array.make n S.zero;
         d = Array.make n S.zero;
-        priced;
-        refills;
-        resets;
-        dw;
-        cand;
+        priced = ref 0;
+        resets = ref 0;
+        dw = Array.make n S.one;
         alpha = Array.make n S.zero;
         in_row = Array.make n false;
         reach = Array.make n 0;
-        cand_n = 0;
-        cursor = 0;
         fact;
         z = S.zero;
         steps = 0;
@@ -720,7 +603,7 @@ module Make (S : Scalar.S) = struct
       for j = pb.part to n - 1 do
         st.cost.(j) <- S.one
       done;
-      if cfg.pricing <> Partial then compute_reduced st;
+      compute_reduced st;
       let z1 = ref S.zero in
       for p = 0 to m - 1 do
         if st.basis.(p) >= pb.part then z1 := S.add !z1 st.xb.(p)
@@ -770,7 +653,7 @@ module Make (S : Scalar.S) = struct
     if !infeasible then Infeas
     else begin
       Array.blit pb.pobj 0 st.cost 0 n;
-      if cfg.pricing <> Partial then compute_reduced st;
+      compute_reduced st;
       recompute_z st;
       match Obs.span obs "lp.phase2" (fun () -> run_primal st ~phase1:false) with
       | O_unbd -> Unbd
@@ -800,7 +683,6 @@ module Make (S : Scalar.S) = struct
     let fact =
       try factor_basis ~ops ~obs pb basis with F.Singular -> raise Warm_failed
     in
-    let priced, refills, resets, dw, cand = fresh_pricing_state n in
     let st =
       {
         pb;
@@ -816,16 +698,12 @@ module Make (S : Scalar.S) = struct
         enterable = Array.init n (fun j -> not pb.pfixed.(j));
         cost = Array.copy pb.pobj;
         d = Array.make n S.zero;
-        priced;
-        refills;
-        resets;
-        dw;
-        cand;
+        priced = ref 0;
+        resets = ref 0;
+        dw = Array.make n S.one;
         alpha = Array.make n S.zero;
         in_row = Array.make n false;
         reach = Array.make n 0;
-        cand_n = 0;
-        cursor = 0;
         fact;
         z = S.zero;
         steps = 0;
@@ -883,7 +761,7 @@ module Make (S : Scalar.S) = struct
     if not proceed then Infeas
     else begin
       if cfg.counters.c_warm then Obs.incr obs "lp.warm_starts";
-      if cfg.pricing <> Partial then compute_reduced st;
+      compute_reduced st;
       match Obs.span obs "lp.phase2" (fun () -> run_primal st ~phase1:false) with
       | O_unbd -> Unbd
       | O_opt -> extract st

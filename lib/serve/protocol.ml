@@ -10,8 +10,8 @@
       "g": 2,                       -- busy-model capacity (default 2)
       "budget": 100000,             -- fuel ticks (default: daemon config)
       "deadline_ms": 50,            -- wall-clock deadline from arrival
-      "lp_engine": "float",         -- a registered Lp engine name
-      "lp_pricing": "devex",        -- a registered Lp pricing policy
+      "lp_engine": "float",         -- an Lp engine name
+      "lp_pricing": "devex",        -- an Lp pricing policy name
       "params": {"order": "l2r"}}   -- solver params, string values
 
    Response statuses: "ok" (solved), "degraded" (answered after budget
@@ -24,7 +24,7 @@ module J = Obs.Json
 module Io = Workload.Io
 module CI = Core.Instance
 
-let version = "1.10.0"
+let version = "1.11.0"
 
 type command = Active | Busy
 

@@ -322,8 +322,8 @@ let prop_strong_duality =
 
 (* Unrestricted generator: mixed senses, negative lower bounds, optional
    upper bounds and signed rhs, so all three statuses (and degenerate
-   vertices) occur. Used to check the Revised and Dense engines against
-   each other and warm against cold re-solves. *)
+   vertices) occur. Used to check the sparse, dense and float engines
+   against each other and warm against cold re-solves. *)
 type any_lp = {
   g_nv : int;
   g_lo : int array;
@@ -412,8 +412,7 @@ let prop_engines_agree =
       let m, vars = build_any l in
       let baseline = Lp.solve ~engine:Lp.default_engine m in
       List.for_all
-        (fun name ->
-          let engine = Option.get (Lp.engine_of_name name) in
+        (fun engine ->
           match (baseline, Lp.solve ~engine m) with
           | Lp.Optimal a, Lp.Optimal b ->
               Q.equal (Lp.objective_value a) (Lp.objective_value b)
@@ -422,7 +421,7 @@ let prop_engines_agree =
           | Lp.Infeasible, Lp.Infeasible -> true
           | Lp.Unbounded, Lp.Unbounded -> true
           | _ -> false)
-        (Lp.engine_names ()))
+        [ Lp.Dense; Lp.Float_certified ])
 
 (* After arbitrary bound rewrites, a warm re-solve from the previous
    basis must return exactly what a cold solve of the same model does. *)
@@ -447,21 +446,21 @@ let prop_warm_matches_cold =
           | Lp.Unbounded, Lp.Unbounded -> true
           | _ -> false))
 
-(* The sparse engine runs the same pivot rules over the same column
-   layout as the revised engine (the row sign flips of the revised cold
-   start cancel inside B^-1 A), so the two must agree bit-for-bit: same
-   status, same objective, same Exact provenance — and the very same
-   pivot count, because the pivot sequences coincide. *)
-let prop_sparse_matches_revised =
-  QCheck.Test.make ~name:"sparse = revised (objective, provenance, pivots)" ~count:600 any_arb
-    (fun l ->
-      let m, _ = build_any l in
-      match (Lp.solve ~engine:Lp.Revised m, Lp.solve ~engine:Lp.Sparse m) with
+(* A solve depends on its model alone: re-solving a model after an
+   unrelated one has run must retrace the same pivots to the same exact
+   vertex, whatever workspace the basis algebra reuses between solves. *)
+let prop_resolve_deterministic =
+  QCheck.Test.make ~name:"re-solve after another model = first solve (pivots, vertex)"
+    ~count:300 (QCheck.pair any_arb any_arb) (fun (l, other) ->
+      let m, vars = build_any l in
+      let first = Lp.solve ~engine:Lp.Sparse m in
+      ignore (Lp.solve ~engine:Lp.Sparse (fst (build_any other)));
+      match (first, Lp.solve ~engine:Lp.Sparse m) with
       | Lp.Optimal a, Lp.Optimal b ->
-          Q.equal (Lp.objective_value a) (Lp.objective_value b)
+          Lp.pivots a = Lp.pivots b
           && Lp.certification a = Lp.Exact
           && Lp.certification b = Lp.Exact
-          && Lp.pivots a = Lp.pivots b
+          && Array.for_all (fun v -> Q.equal (Lp.value a v) (Lp.value b v)) vars
       | Lp.Infeasible, Lp.Infeasible -> true
       | Lp.Unbounded, Lp.Unbounded -> true
       | _ -> false)
@@ -473,7 +472,7 @@ let prop_eta_refactor_equiv =
   QCheck.Test.make ~name:"eta cap 1 = eta cap 64 (same pivots, same answer)" ~count:300 any_arb
     (fun l ->
       let m, _ = build_any l in
-      let every = Lp.solve ~engine:(Lp.Sparse_with { Lp.default_sparse_config with sparse_eta_cap = 1 }) m in
+      let every = Lp.For_testing.solve_with_eta_cap 1 m in
       let batched = Lp.solve ~engine:Lp.Sparse m in
       match (every, batched) with
       | Lp.Optimal a, Lp.Optimal b ->
@@ -483,8 +482,8 @@ let prop_eta_refactor_equiv =
       | Lp.Unbounded, Lp.Unbounded -> true
       | _ -> false)
 
-(* Pricing policy is pure column selection: Dantzig, candidate-list
-   partial and devex must agree on status and objective (the vertex and
+(* Pricing policy is pure column selection: Dantzig and devex must
+   agree on status and objective (the vertex and
    pivot sequence may differ), over both the exact sparse driver and the
    float-certified path — whose results are exact either way, via
    certification or the exact fallback. *)
@@ -537,42 +536,41 @@ let test_engine_introspection () =
   let x = Lp.add_var ~upper:(qi 5) m "x" in
   Lp.add_constraint m [ (qi 1, x) ] Lp.Le (qi 3);
   Lp.set_objective m Lp.Maximize [ (qi 1, x) ];
-  let r = get_solution (Lp.solve ~engine:Lp.Revised m) in
+  let r = get_solution (Lp.solve ~engine:Lp.Sparse m) in
   let d = get_solution (Lp.solve ~engine:Lp.Dense m) in
-  Alcotest.(check bool) "revised carries a basis" true (Lp.basis r <> None);
+  Alcotest.(check bool) "sparse carries a basis" true (Lp.basis r <> None);
   Alcotest.(check bool) "dense has no basis" true (Lp.basis d = None);
   Alcotest.(check bool) "pivot counts are non-negative" true (Lp.pivots r >= 0 && Lp.pivots d >= 0)
 
-let test_engine_registry () =
+(* The engine and pricing sets are closed: the names the CLI, the
+   registry params and the serve protocol accept are pinned here. *)
+let test_engine_names () =
   Alcotest.(check (list string))
-    "registered engines" [ "dense"; "float"; "revised"; "sparse" ] (Lp.engine_names ());
-  Alcotest.(check string) "sparse selector resolves" "sparse" (Lp.engine_name Lp.Sparse);
-  Alcotest.(check string)
-    "configured sparse selector resolves" "sparse"
-    (Lp.engine_name (Lp.Sparse_with Lp.default_sparse_config));
-  Alcotest.(check bool) "unknown name" true (Lp.engine_of_name "bogus" = None);
-  Alcotest.(check string) "default is revised" "revised" (Lp.engine_name Lp.default_engine);
-  Alcotest.(check string) "float selector resolves" "float" (Lp.engine_name Lp.Float_certified);
-  Alcotest.(check string)
-    "configured float selector resolves" "float"
-    (Lp.engine_name (Lp.Float_with Lp.default_float_config));
+    "engine names" [ "dense"; "float"; "revised"; "sparse" ] (Lp.engine_names ());
   Alcotest.(check (list string))
     "inventory names match" (Lp.engine_names ())
     (List.map fst (Lp.engine_inventory ()));
   Alcotest.(check bool)
-    "duplicate registration rejected" true
-    (match
-       Lp.register_engine
-         (module struct
-           let name = "revised"
-           let description = "dup"
-           let selector = Lp.Revised
-           let handles _ = false
-           let solve ~engine:_ ~rule:_ ~pricing:_ ~warm:_ ~budget:_ ~obs:_ _ = Lp.Infeasible
-         end)
-     with
-    | exception Invalid_argument _ -> true
-    | () -> false)
+    "revised is a second spelling of sparse" true
+    (Lp.engine_of_name "revised" = Lp.engine_of_name "sparse");
+  Alcotest.(check bool) "unknown engine" true (Lp.engine_of_name "bogus" = None);
+  Alcotest.(check string) "default engine" "sparse" (Lp.engine_name Lp.default_engine);
+  List.iter
+    (fun name ->
+      let canonical = Lp.engine_name (Option.get (Lp.engine_of_name name)) in
+      Alcotest.(check bool) (name ^ " round-trips") true
+        (Lp.engine_of_name canonical = Lp.engine_of_name name))
+    (Lp.engine_names ());
+  Alcotest.(check (list string)) "pricing names" [ "dantzig"; "devex" ] (Lp.pricing_names ());
+  Alcotest.(check (list string))
+    "pricing inventory names match" (Lp.pricing_names ())
+    (List.map fst (Lp.pricing_inventory ()));
+  Alcotest.(check bool) "partial is gone" true (Lp.pricing_of_name "partial" = None);
+  List.iter
+    (fun name ->
+      Alcotest.(check string) (name ^ " round-trips") name
+        (Lp.pricing_name (Option.get (Lp.pricing_of_name name))))
+    (Lp.pricing_names ())
 
 let cert_to_string = function
   | Lp.Exact -> "Exact"
@@ -590,9 +588,9 @@ let test_certification_provenance () =
     Lp.set_objective m Lp.Maximize [ (qi 3, x); (qi 4, y) ];
     m
   in
-  let r = get_solution (Lp.solve ~engine:Lp.Revised (build ())) in
+  let r = get_solution (Lp.solve ~engine:Lp.Sparse (build ())) in
   let d = get_solution (Lp.solve ~engine:Lp.Dense (build ())) in
-  check_cert "revised is exact" "Exact" r;
+  check_cert "sparse is exact" "Exact" r;
   check_cert "dense is exact" "Exact" d;
   let obs = Obs.create () in
   let f = get_solution (Lp.solve ~engine:Lp.Float_certified ~obs (build ())) in
@@ -632,13 +630,13 @@ let test_certify_fail_fallback () =
   Alcotest.(check int) "certify_fail pinned" 1 (counter "lp.certify_fail");
   Alcotest.(check int) "fallbacks pinned" 1 (counter "lp.fallbacks");
   Alcotest.(check int) "no certify_ok" 0 (counter "lp.certify_ok");
-  (* the fallback answer is the exact optimum, bit-identical to revised *)
-  let r = get_solution (Lp.solve ~engine:Lp.Revised (build_trap trap)) in
+  (* the fallback answer is the exact optimum, bit-identical to sparse *)
+  let r = get_solution (Lp.solve ~engine:Lp.Sparse (build_trap trap)) in
   Alcotest.(check string)
     "fallback matches exact" (Q.to_string trap.ft_opt)
     (Q.to_string (Lp.objective_value s));
   Alcotest.(check string)
-    "revised agrees" (Q.to_string trap.ft_opt)
+    "sparse agrees" (Q.to_string trap.ft_opt)
     (Q.to_string (Lp.objective_value r));
   (* control: one ulp_exp inside double's mantissa, same family certifies *)
   let ctrl = Workload.Gadgets.float_trap ~pairs:4 ~ulp_exp:20 in
@@ -669,8 +667,9 @@ let test_float_uses_warm () =
     (List.assoc_opt "lp.warm_starts" (Obs.counters obs) = Some 1)
 
 (* Golden work profile of the sparse engine on a small mixed-sense
-   model: pivot count bit-identical to revised, and the LU bookkeeping
-   counters (refactorizations, eta updates, fill) pinned. A diff means
+   model: objective equal to the dense reference's, and the pivot count
+   and LU bookkeeping counters (refactorizations, eta updates, fill)
+   pinned. A diff means
    the pivot rules or the refactorization policy changed, which must be
    a conscious decision, not an accident. *)
 let test_sparse_golden_counters () =
@@ -686,12 +685,11 @@ let test_sparse_golden_counters () =
   in
   let obs = Obs.create () in
   let s = get_solution (Lp.solve ~engine:Lp.Sparse ~obs (build ())) in
-  let r = get_solution (Lp.solve ~engine:Lp.Revised (build ())) in
+  let d = get_solution (Lp.solve ~engine:Lp.Dense (build ())) in
   Alcotest.(check string)
-    "objective matches revised" (Q.to_string (Lp.objective_value r))
+    "objective matches dense" (Q.to_string (Lp.objective_value d))
     (Q.to_string (Lp.objective_value s));
   check_cert "sparse is exact" "Exact" s;
-  Alcotest.(check int) "pivot-for-pivot with revised" (Lp.pivots r) (Lp.pivots s);
   let counter name = try List.assoc name (Obs.counters obs) with Not_found -> 0 in
   Alcotest.(check int) "pivots" 3 (counter "lp.pivots");
   Alcotest.(check int) "refactorizations" 1 (counter "lp.refactorizations");
@@ -700,10 +698,7 @@ let test_sparse_golden_counters () =
   Alcotest.(check bool) "exact cells recorded" true (counter "lp.exact_cells" > 0);
   (* eta cap 1: every pivot refactorizes, so the eta file stays empty *)
   let obs1 = Obs.create () in
-  let s1 =
-    get_solution
-      (Lp.solve ~engine:(Lp.Sparse_with { Lp.default_sparse_config with sparse_eta_cap = 1 }) ~obs:obs1 (build ()))
-  in
+  let s1 = get_solution (Lp.For_testing.solve_with_eta_cap 1 ~obs:obs1 (build ())) in
   Alcotest.(check int) "same pivots under eta cap 1" (Lp.pivots s) (Lp.pivots s1);
   let counter1 name = try List.assoc name (Obs.counters obs1) with Not_found -> 0 in
   Alcotest.(check int) "refactorization per pivot" 4 (counter1 "lp.refactorizations")
@@ -729,25 +724,21 @@ let test_hypersparse_golden_counters () =
       ("lp1_tall", Workload.Gadgets.lp1_tall ~g:4 ~jobs:28 ~length:3) ]
   in
   let engines =
-    [ ("dantzig", Lp.Revised, Lp.Dantzig); ("devex", Lp.Revised, Lp.Devex);
-      ("partial", Lp.Revised, Lp.Partial); ("float", Lp.Float_certified, Lp.Dantzig) ]
+    [ ("dantzig", Lp.Sparse, Lp.Dantzig); ("devex", Lp.Sparse, Lp.Devex);
+      ("float", Lp.Float_certified, Lp.Dantzig) ]
   in
   let golden =
     [ ("slotted n=40", "dantzig", "125/3", 201, 10168, 53795, 4, 1837);
       ("slotted n=40", "devex", "125/3", 200, 9883, 53530, 4, 1840);
-      ("slotted n=40", "partial", "125/3", 248, 69240, 14481, 5, 2463);
       ("slotted n=40", "float", "125/3", 199, 1101, 0, 4, 1832);
       ("slotted n=80", "dantzig", "515/6", 420, 26456, 227880, 7, 6497);
       ("slotted n=80", "devex", "515/6", 418, 25418, 226800, 7, 6499);
-      ("slotted n=80", "partial", "515/6", 439, 142101, 55003, 8, 7794);
       ("slotted n=80", "float", "515/6", 417, 2636, 0, 7, 6497);
       ("slotted n=160", "dantzig", "2087/12", 871, 55053, 976887, 15, 30360);
       ("slotted n=160", "devex", "2087/12", 884, 58345, 991434, 15, 30304);
-      ("slotted n=160", "partial", "2087/12", 946, 583173, 243813, 16, 33113);
       ("slotted n=160", "float", "2087/12", 872, 5108, 0, 15, 30307);
       ("lp1_tall", "dantzig", "21", 585, 240013, 373919, 10, 7979);
       ("lp1_tall", "devex", "21", 441, 191656, 282191, 8, 6706);
-      ("lp1_tall", "partial", "21", 619, 433273, 135879, 14, 14219);
       ("lp1_tall", "float", "21", 560, 3097, 0, 9, 7377) ]
   in
   List.iter
@@ -865,7 +856,7 @@ let test_basis_cache_eviction () =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_solution_feasible; prop_no_sample_beats_optimum; prop_strong_duality;
-      prop_engines_agree; prop_warm_matches_cold; prop_sparse_matches_revised;
+      prop_engines_agree; prop_warm_matches_cold; prop_resolve_deterministic;
       prop_eta_refactor_equiv; prop_pricing_policies_agree ]
 
 let () =
@@ -892,7 +883,7 @@ let () =
           Alcotest.test_case "values accessor" `Quick test_values_accessor;
           Alcotest.test_case "warm start counters" `Quick test_warm_start_counters;
           Alcotest.test_case "engine introspection" `Quick test_engine_introspection;
-          Alcotest.test_case "engine registry" `Quick test_engine_registry;
+          Alcotest.test_case "engine and pricing names" `Quick test_engine_names;
           Alcotest.test_case "certification provenance" `Quick test_certification_provenance;
           Alcotest.test_case "certify-fail fallback" `Quick test_certify_fail_fallback;
           Alcotest.test_case "float uses warm" `Quick test_float_uses_warm;

@@ -182,8 +182,8 @@ let test_golden_bb_hard_rebuild () =
 
 (* Golden LP counters for the warm-started ILP branch-and-bound on the
    Section 3.5 integrality-gap gadget (LP1 is fractional there, so the
-   search must branch). Pins the simplex work profile of the revised
-   engine: total/phase-1/degenerate pivot counts, bound flips (upper
+   search must branch). Pins the simplex work profile of the default
+   sparse engine: total/phase-1/degenerate pivot counts, bound flips (upper
    bounds handled without pivoting) and warm starts (solves that re-entered
    phase 2 from the parent basis; the remainder fell back to a cold
    start). A diff means the LP engine's pivot sequence changed, which
@@ -213,9 +213,8 @@ let test_golden_lp_counters () =
       ("lp.phase1_pivots", 39);
       ("lp.pivots", 47);
       (* Dantzig maintains the reduced-cost row over every nonbasic
-         column per pivot, so priced work is ~nonbasic x pivots; the
-         partial-pricing policy exists to shrink exactly this number
-         (bench E26 gates the ratio) *)
+         column per pivot, so priced work is ~nonbasic x pivots (bench
+         E26 reports it beside wall time for both pricing policies) *)
       ("lp.priced_columns", 1842);
       ("lp.refactorizations", 10);
       ("lp.solves", 9);
