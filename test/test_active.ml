@@ -172,7 +172,7 @@ let test_lp_integrality_gap () =
   Alcotest.(check (option int)) "IP = 2g" (Some (2 * g)) (Active.Exact.optimum inst)
 
 let test_lp_sparse_wide () =
-  (* methodology gadget (bench E24): block-diagonal LP1 with the known
+  (* methodology gadget (bench lp): block-diagonal LP1 with the known
      fractional optimum blocks * (g+1)/g — the witness documented in
      Gadgets.sparse_wide *)
   let g = 3 and blocks = 4 in

@@ -214,7 +214,7 @@ let test_golden_lp_counters () =
       ("lp.pivots", 47);
       (* Dantzig maintains the reduced-cost row over every nonbasic
          column per pivot, so priced work is ~nonbasic x pivots (bench
-         E26 reports it beside wall time for both pricing policies) *)
+         lp reports it beside wall time for both pricing policies) *)
       ("lp.priced_columns", 1842);
       ("lp.refactorizations", 10);
       ("lp.solves", 9);
