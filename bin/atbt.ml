@@ -24,7 +24,12 @@
    digest, algorithm, cost, lower bounds, cascade provenance and the
    solver telemetry (Obs counters and span tree). The document is emitted
    on every path, including usage errors and budget exhaustion, with
-   [status] / [exit] mirroring the process exit code. *)
+   [status] / [exit] mirroring the process exit code.
+
+   [active], [busy] and [sim] each have one body that computes an
+   [outcome]; [print_text] and [print_json] are its two printers. Solvers
+   run through [Serve.run_checked], the checked dispatch the daemon uses,
+   so every witness is verified in one place. *)
 
 module Q = Rational
 module S = Workload.Slotted
@@ -44,38 +49,47 @@ type failure =
   | Usage of string  (* bad flags or unparseable input: exit 1 *)
   | Internal of string  (* a solver broke its own contract: exit 2 *)
   | Unknown_solver of string  (* --algorithm not in the registry: exit 2 *)
-  | Fuel_exhausted of string  (* budget ran out without an answer: exit 3 *)
+  | Fuel_exhausted of { hint : string; spent : int; incumbent : CR.objective option }
+      (* budget ran out without an answer: exit 3 *)
 
 let ( let* ) = Stdlib.Result.bind
 
+(* Exit code, JSON status and message of a failure. An exhausted budget
+   is worded per format: text prints the incumbent on stdout and keeps
+   the message short, JSON names the spend and incumbent in it. *)
+let describe ~json = function
+  | Usage msg -> (1, "usage-error", msg)
+  | Internal msg -> (2, "internal-error", if json then msg else "internal error: " ^ msg)
+  | Unknown_solver msg -> (2, "usage-error", msg)
+  | Fuel_exhausted { hint; spent; incumbent } ->
+      let msg =
+        match incumbent with
+        | Some obj when json ->
+            let best =
+              match obj with
+              | CR.Slots n -> Printf.sprintf "cost %d" n
+              | o -> CR.objective_to_string o
+            in
+            Printf.sprintf "%s after %d ticks; best incumbent %s, not proven optimal; try --cascade"
+              hint spent best
+        | _ -> hint ^ "; try --cascade"
+      in
+      (3, "budget-exhausted", msg)
+
 let finish = function
   | Ok () -> 0
-  | Error (Usage msg) ->
+  | Error f ->
+      let code, _, msg = describe ~json:false f in
       prerr_endline ("atbt: " ^ msg);
-      1
-  | Error (Internal msg) ->
-      prerr_endline ("atbt: internal error: " ^ msg);
-      2
-  | Error (Unknown_solver msg) ->
-      prerr_endline ("atbt: " ^ msg);
-      2
-  | Error (Fuel_exhausted msg) ->
-      prerr_endline ("atbt: " ^ msg);
-      3
+      code
 
-let load path =
-  try Ok (Io.parse_file path) with
-  | Io.Parse_error (line, msg) -> Error (Usage (Printf.sprintf "%s:%d: %s" path line msg))
-  | Sys_error msg -> Error (Usage msg)
-
-(* Lenient twin for the JSON paths: a malformed job line becomes a
-   structured per-line warning in the document instead of aborting the
-   whole run; only whole-file problems (bad header, missing file) stay
-   fatal. *)
-let load_lenient path =
-  match Io.parse_file_lenient path with
-  | Ok (instance, warnings) -> Ok (instance, warnings)
-  | Error (line, msg) -> Error (Usage (Printf.sprintf "%s:%d: %s" path line msg))
+(* The one map from parse failures onto [Usage]: the strict parsers
+   raise [Io.Parse_error], the lenient one returns it. *)
+let load parse path =
+  match parse path with
+  | Ok v -> Ok v
+  | Error (line, msg) | exception Io.Parse_error (line, msg) ->
+      Error (Usage (Printf.sprintf "%s:%d: %s" path line msg))
   | exception Sys_error msg -> Error (Usage msg)
 
 (* Every file the CLI creates goes through here so that an unwritable
@@ -88,142 +102,183 @@ let write_text_file path contents =
     Ok ()
   with Sys_error msg -> Error (Usage msg)
 
+let write_svg svg render =
+  match svg with Some file -> write_text_file file (render ()) | None -> Ok ()
+
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
 
+let check_budget = function
+  | Some n when n < 0 -> Error (Usage "--budget must be nonnegative")
+  | _ -> Ok ()
+
+let check_g g = if g >= 1 then Ok () else Error (Usage "-g must be at least 1")
+
 (* ----------------------------------------------------- registry access -- *)
 
+(* Every name flag resolves the same way: an unknown name exits 2
+   listing the valid ones. *)
+let lookup ~what ?(valid = "valid") find names name =
+  match find name with
+  | Some v -> Ok v
+  | None ->
+      Error
+        (Unknown_solver
+           (Printf.sprintf "unknown %s %s (%s: %s; see atbt --list-solvers)" what name valid
+              (String.concat "|" names)))
+
 let resolve kind name =
-  match Core.Registry.find kind name with
-  | Some s -> Ok s
-  | None ->
-      Error
-        (Unknown_solver
-           (Printf.sprintf "unknown algorithm %s (valid for %s: %s; see atbt --list-solvers)"
-              name (CI.kind_name kind)
-              (String.concat "|" (Core.Registry.names kind))))
+  lookup ~what:"algorithm" ~valid:("valid for " ^ CI.kind_name kind) (Core.Registry.find kind)
+    (Core.Registry.names kind) name
 
-(* --lp-engine resolves against Lp's engine names with the same
-   unknown-name UX as --algorithm: exit 2 listing the valid names. *)
 let resolve_lp_engine name =
-  match Lp.engine_of_name name with
-  | Some engine -> Ok engine
-  | None ->
-      Error
-        (Unknown_solver
-           (Printf.sprintf "unknown LP engine %s (valid: %s; see atbt --list-solvers)" name
-              (String.concat "|" (Lp.engine_names ()))))
+  lookup ~what:"LP engine" Lp.engine_of_name (Lp.engine_names ()) name
 
-(* --lp-pricing resolves against Lp's pricing inventory the same way. *)
 let resolve_lp_pricing name =
-  match Lp.pricing_of_name name with
-  | Some pricing -> Ok pricing
-  | None ->
-      Error
-        (Unknown_solver
-           (Printf.sprintf "unknown LP pricing %s (valid: %s; see atbt --list-solvers)" name
-              (String.concat "|" (Lp.pricing_names ()))))
+  lookup ~what:"LP pricing" Lp.pricing_of_name (Lp.pricing_names ()) name
 
-(* Run a registered solver, mapping its structured exceptions onto the
-   CLI failure space. *)
-let run_solver (s : CS.t) ?budget ?obs ?params inst =
-  match s.CS.solve ?budget ?obs ?params inst with
+(* Run a registered solver through the checked dispatch it shares with
+   serve, mapping its structured exceptions onto the CLI failure space. *)
+let run_solver solver ?budget ?obs ?params inst =
+  match Serve.run_checked solver ?budget:(Option.map Budget.limited budget) ?obs ?params inst with
   | r -> Ok r
   | exception CS.Unsupported msg -> Error (Usage msg)
   | exception CS.Bad_result msg -> Error (Internal msg)
 
-let limited_budget budget = Option.map Budget.limited budget
+(* ------------------------------------------------------------ outcome -- *)
 
-(* the model-specific spellings of an objective / an exhausted incumbent *)
-let objective_string = function
-  | CR.Slots n -> string_of_int n
-  | CR.Busy q | CR.Value q -> Q.to_string q
+(* What text mode shows of the answer, after the provenance and note. *)
+type shown =
+  | Nothing
+  | Line of string
+  | Incumbent of string * Active.Solution.t  (* a heading, then the unproven schedule *)
+  | Schedule of S.t * Active.Solution.t  (* checked: schedule, --render, --svg, energy *)
+  | Packing of int * B.t list list  (* checked, at capacity g: likewise *)
+  | Rolling of Sim.Rolling.run
 
-let incumbent_string = function
-  | CR.Slots n -> Printf.sprintf "cost %d" n
-  | CR.Busy q | CR.Value q -> Q.to_string q
+(* What one run of [active], [busy] or [sim] found. The command's body
+   fills it in as far as it gets, so a failed run still names its
+   instance (JSON) and an exhausted one still shows its incumbent
+   (text); the body returns the verdict — JSON status, cost and bounds,
+   or the failure. Text and JSON are two printers of the pair. *)
+type outcome = {
+  mutable instance : J.t Lazy.t;  (* JSON's summary; text never forces it *)
+  mutable warnings : (int * string) list;  (* lines the lenient parse skipped *)
+  mutable note : string option;
+  mutable provenance : CR.objective Budget.Cascade.provenance option;
+  mutable shown : shown;
+}
 
-let objective_json = function
-  | CR.Slots n -> J.Int n
-  | CR.Busy q | CR.Value q -> J.String (Q.to_string q)
+let pp_objective fmt o = Format.pp_print_string fmt (CR.objective_to_string o)
 
-let pp_objective fmt = function
-  | CR.Slots n -> Format.pp_print_int fmt n
-  | CR.Busy q | CR.Value q -> Format.pp_print_string fmt (Q.to_string q)
+let print_text ~render ~svg o verdict =
+  Option.iter
+    (Format.printf "%a" (Budget.Cascade.pp_provenance ~pp_cost:pp_objective))
+    o.provenance;
+  Option.iter print_endline o.note;
+  (match o.shown with
+  | Nothing -> ()
+  | Line l -> Printf.printf "%s\n" l
+  | Incumbent (heading, sol) ->
+      Printf.printf "%s\n" heading;
+      Format.printf "%a" Active.Solution.pp sol
+  | Schedule (inst, sol) ->
+      Format.printf "%a" Active.Solution.pp sol;
+      if render then print_string (Render.slotted inst sol);
+      Option.iter (Printf.printf "wrote %s\n") svg;
+      let report = Sim.run_active inst sol in
+      Printf.printf "energy %s, power-ons %d, utilization %s\n"
+        (Q.to_string report.Sim.total_energy) report.Sim.total_switch_ons
+        (Q.to_string report.Sim.utilization)
+  | Packing (g, packing) ->
+      Printf.printf "total busy time: %s on %d machines\n"
+        (Q.to_string (Busy.Bundle.total_busy packing))
+        (List.length packing);
+      Format.printf "%a" Busy.Bundle.pp packing;
+      if render then print_string (Render.packing packing);
+      Option.iter (Printf.printf "wrote %s\n") svg;
+      let report = Sim.run_packing ~g packing in
+      Printf.printf "energy %s, power-ons %d, peak %d, utilization %s\n"
+        (Q.to_string report.Sim.total_energy) report.Sim.total_switch_ons
+        report.Sim.peak_parallelism
+        (Q.to_string report.Sim.utilization)
+  | Rolling r ->
+      Format.printf "%a" Sim.Rolling.pp r;
+      Option.iter (Printf.printf "wrote %s\n") svg);
+  finish (Stdlib.Result.map ignore verdict)
 
-let provenance_json = function
-  | None -> J.Null
-  | Some p -> Budget.Cascade.provenance_to_json ~cost_to_json:objective_json p
-
-let print_provenance = function
-  | None -> ()
-  | Some p -> Format.printf "%a" (Budget.Cascade.pp_provenance ~pp_cost:pp_objective) p
-
-(* The message when a budget ran out without a definitive answer; the
-   solver provides the stem, the incumbent (when any) the detail. *)
-let exhausted_message (s : CS.t) ~spent objective =
-  match objective with
-  | Some obj ->
-      Printf.sprintf "%s after %d ticks; best incumbent %s, not proven optimal; try --cascade"
-        s.CS.exhausted_hint spent (incumbent_string obj)
-  | None -> s.CS.exhausted_hint ^ "; try --cascade"
-
-(* ---------------------------------------------------------- telemetry -- *)
-
-(* One JSON document per invocation; [status] and [exit] mirror the
-   process exit code so a consumer never needs the exit code separately. *)
-let emit_json ?(warnings = []) ~command ~algorithm ~instance ~status ~code ~message ~cost
-    ~bounds ~provenance obs =
-  let warnings_json =
-    (* present only when non-empty, so warning-free documents are
-       byte-identical to the previous schema *)
-    if warnings = [] then []
-    else
-      [ ( "warnings",
-          J.List
-            (List.map
-               (fun (line, msg) -> J.Obj [ ("line", J.Int line); ("message", J.String msg) ])
-               warnings) ) ]
+(* One schema-1 document per invocation, on every path; [status] and
+   [exit] mirror the process exit code so a consumer never needs the
+   exit code separately. A finished [sim] run carries the rolling run's
+   own fields in place of cost, bounds and provenance. *)
+let print_json ~command ~algorithm obs o verdict =
+  let code, status, message =
+    match verdict with
+    | Ok (status, _, _) -> (0, status, o.note)
+    | Error f ->
+        let code, status, msg = describe ~json:true f in
+        (code, status, Some msg)
   in
-  let doc =
-    J.Obj
-      ([ ("schema", J.Int 1);
-         ("tool", J.String "atbt");
-         ("version", J.String version);
-         ("command", J.String command);
-         ("algorithm", match algorithm with Some a -> J.String a | None -> J.Null);
-         ("instance", instance);
-         ("status", J.String status);
-         ("exit", J.Int code);
-         ("message", match message with Some m -> J.String m | None -> J.Null) ]
-      @ warnings_json
-      @ [ ("cost", cost);
-          ("bounds", bounds);
-          ("provenance", provenance);
-          ("counters", Obs.counters_to_json obs);
-          ("spans", Obs.spans_to_json obs) ])
+  let fields =
+    match (o.shown, verdict) with
+    | Rolling r, Ok _ ->
+        [ ("status", J.String status); ("exit", J.Int code); ("instance", Lazy.force o.instance) ]
+        @ (match Sim.Rolling.to_json r with
+          | J.Obj fields -> List.filter (fun (k, _) -> k <> "schema") fields
+          | other -> [ ("run", other) ])
+        @ [ ("counters", Obs.counters_to_json obs) ]
+    | _ ->
+        let cost, bounds, provenance =
+          match verdict with
+          | Ok (_, cost, bounds) -> (cost, bounds, CR.provenance_to_json o.provenance)
+          | Error _ -> (J.Null, J.Null, J.Null)
+        in
+        [ ("algorithm", J.String algorithm);
+          ("instance", Lazy.force o.instance);
+          ("status", J.String status);
+          ("exit", J.Int code);
+          ("message", match message with Some m -> J.String m | None -> J.Null) ]
+        @ (* present only when non-empty, so warning-free documents keep
+             the original schema byte for byte *)
+        (if o.warnings = [] then []
+         else
+           [ ( "warnings",
+               J.List
+                 (List.map
+                    (fun (line, msg) -> J.Obj [ ("line", J.Int line); ("message", J.String msg) ])
+                    o.warnings) ) ])
+        @ [ ("cost", cost);
+            ("bounds", bounds);
+            ("provenance", provenance);
+            ("counters", Obs.counters_to_json obs);
+            ("spans", Obs.spans_to_json obs) ]
   in
-  print_endline (J.to_string doc);
+  print_endline
+    (J.to_string
+       (J.Obj
+          ([ ("schema", J.Int 1);
+             ("tool", J.String "atbt");
+             ("version", J.String version);
+             ("command", J.String command) ]
+          @ fields)));
   code
 
-(* JSON-mode driver: the body computes (status, cost, bounds, provenance)
-   or a structured failure; either way exactly one document is printed. *)
-let finish_json ?(warnings = fun () -> []) ~command ~algorithm ~instance ~message obs result =
-  match result with
-  | Ok (status, cost, bounds, provenance) ->
-      emit_json ~warnings:(warnings ()) ~command ~algorithm ~instance:(instance ()) ~status
-        ~code:0 ~message:(message ()) ~cost ~bounds ~provenance obs
-  | Error f ->
-      let status, code, msg =
-        match f with
-        | Usage m -> ("usage-error", 1, m)
-        | Internal m -> ("internal-error", 2, m)
-        | Unknown_solver m -> ("usage-error", 2, m)
-        | Fuel_exhausted m -> ("budget-exhausted", 3, m)
-      in
-      emit_json ~warnings:(warnings ()) ~command ~algorithm ~instance:(instance ()) ~status
-        ~code ~message:(Some msg) ~cost:J.Null ~bounds:J.Null ~provenance:J.Null obs
+(* Run a command's body once and print its outcome in the chosen
+   format. Text parses strictly (a malformed job line is fatal) and runs
+   the solvers without a recorder; JSON parses leniently (the line
+   becomes a per-line warning) and records counters and spans. *)
+let run_command ~command ~algorithm ~render ~svg format body =
+  let o =
+    { instance = lazy J.Null; warnings = []; note = None; provenance = None; shown = Nothing }
+  in
+  match format with
+  | "text" ->
+      print_text ~render ~svg o (body ~parse:(fun p -> Ok (Io.parse_file p, [])) ~obs:None o)
+  | "json" ->
+      let obs = Obs.create () in
+      print_json ~command ~algorithm obs o (body ~parse:Io.parse_file_lenient ~obs:(Some obs) o)
+  | other -> finish (Error (Usage ("unknown format " ^ other ^ " (text|json)")))
 
 let slotted_instance_json inst =
   J.Obj
@@ -240,18 +295,13 @@ let busy_instance_json ~g jobs =
       ("jobs", J.Int (List.length jobs));
       ("g", J.Int g) ]
 
-let parse_format = function
-  | "text" -> Ok `Text
-  | "json" -> Ok `Json
-  | other -> Error (Usage ("unknown format " ^ other ^ " (text|json)"))
-
 (* ------------------------------------------------------------ generate -- *)
 
 let generate kind n g horizon seed output =
   finish
     (let* () = if n < 1 then Error (Usage "-n must be at least 1") else Ok () in
      let* () = if horizon < 1 then Error (Usage "--horizon must be at least 1") else Ok () in
-     let* () = if g < 1 then Error (Usage "-g must be at least 1") else Ok () in
+     let* () = check_g g in
      let* instance =
        match kind with
        | "slotted" ->
@@ -287,32 +337,6 @@ let generate_cmd =
 
 (* -------------------------------------------------------------- active -- *)
 
-let print_active_solution inst sol render svg =
-  let* () =
-    match Active.Solution.verify inst sol with
-    | None -> Ok ()
-    | Some problem -> Error (Internal ("invalid solution: " ^ problem))
-  in
-  Format.printf "%a" Active.Solution.pp sol;
-  if render then print_string (Render.slotted inst sol);
-  let* () =
-    match svg with
-    | Some file ->
-        let* () = write_text_file file (Render.slotted_svg inst sol) in
-        Printf.printf "wrote %s\n" file;
-        Ok ()
-    | None -> Ok ()
-  in
-  let report = Sim.run_active inst sol in
-  Printf.printf "energy %s, power-ons %d, utilization %s\n"
-    (Q.to_string report.Sim.total_energy) report.Sim.total_switch_ons
-    (Q.to_string report.Sim.utilization);
-  Ok ()
-
-let check_budget = function
-  | Some n when n < 0 -> Error (Usage "--budget must be nonnegative")
-  | _ -> Ok ()
-
 let check_order = function
   | "l2r" | "r2l" -> Ok ()
   | o -> Error (Usage ("unknown order " ^ o ^ " (l2r|r2l)"))
@@ -321,121 +345,60 @@ let active_solution_of = function
   | Some (CR.Opened { open_slots; schedule }) -> Some { Active.Solution.open_slots; schedule }
   | _ -> None
 
-(* Common active prelude: validate flags, load, resolve the solver, run.
-   [--cascade] is sugar for the registered composite solver. *)
-let active_run ?obs path algorithm order lp_engine lp_pricing budget cascade =
+(* [--cascade] is sugar for the registered composite solver (the caller
+   resolves [algorithm] to "cascade"). *)
+let active_body path algorithm order lp_engine lp_pricing budget svg ~parse ~obs o =
   let* () = check_budget budget in
-  let* instance = load path in
+  let* instance, warnings = load parse path in
+  o.warnings <- warnings;
   let* inst =
     match instance with
     | Io.Busy_instance _ -> Error (Usage "active expects a slotted instance")
     | Io.Slotted_instance inst -> Ok inst
   in
+  o.instance <- lazy (slotted_instance_json inst);
   let* () = check_order order in
   let* _ = resolve_lp_engine lp_engine in
   let* _ = resolve_lp_pricing lp_pricing in
-  let algorithm = if cascade then "cascade" else algorithm in
   let* solver = resolve CI.Active_slotted algorithm in
-  let* result =
-    run_solver solver
-      ?budget:(limited_budget budget)
-      ?obs
+  let* r =
+    run_solver solver ?budget ?obs
       ~params:[ ("order", order); ("engine", lp_engine); ("pricing", lp_pricing) ]
       (CI.Slotted inst)
   in
-  Ok (inst, solver, result)
-
-let active_text path algorithm order lp_engine lp_pricing budget cascade render svg =
-  finish
-    (let* inst, solver, r = active_run path algorithm order lp_engine lp_pricing budget cascade in
-     print_provenance r.CR.provenance;
-     (match r.CR.note with Some n -> print_endline n | None -> ());
-     match r.CR.status with
-     | CR.Exhausted { spent } ->
-         (match (r.CR.objective, active_solution_of r.CR.witness) with
-         | Some (CR.Slots c), Some sol ->
-             Printf.printf
-               "budget exhausted after %d ticks; best incumbent (cost %d, not proven optimal):\n"
-               spent c;
-             Format.printf "%a" Active.Solution.pp sol
-         | _ -> ());
-         Error (Fuel_exhausted (solver.CS.exhausted_hint ^ "; try --cascade"))
-     | CR.Infeasible -> Ok (print_endline "infeasible")
-     | CR.Solved -> (
-         match active_solution_of r.CR.witness with
-         | Some sol -> print_active_solution inst sol render svg
-         | None -> (
-             (* bound-quality solvers witness no schedule *)
-             match r.CR.objective with
-             | Some obj -> Ok (Printf.printf "objective %s\n" (objective_string obj))
-             | None -> Ok ())))
-
-(* JSON twin of [active_text]: same control flow, machine-readable
-   output, solvers run with a live recorder. [--render] is a no-op here
-   (ASCII art would corrupt the document); [--svg FILE] still writes. *)
-let active_json path algorithm order lp_engine lp_pricing budget cascade svg =
-  let obs = Obs.create () in
-  let instance_json = ref J.Null in
-  let note = ref None in
-  let verified inst sol =
-    match Active.Solution.verify inst sol with
-    | None -> (
-        match svg with
-        | Some file -> write_text_file file (Render.slotted_svg inst sol)
-        | None -> Ok ())
-    | Some problem -> Error (Internal ("invalid solution: " ^ problem))
-  in
-  let warnings = ref [] in
-  let result =
-    let* () = check_budget budget in
-    let* instance, warns = load_lenient path in
-    warnings := warns;
-    let* inst =
-      match instance with
-      | Io.Busy_instance _ -> Error (Usage "active expects a slotted instance")
-      | Io.Slotted_instance inst -> Ok inst
-    in
-    instance_json := slotted_instance_json inst;
-    let* () = check_order order in
-    let* _ = resolve_lp_engine lp_engine in
-    let* _ = resolve_lp_pricing lp_pricing in
-    let bounds = J.Obj [ ("mass", J.Int (S.mass_lower_bound inst)) ] in
-    let algorithm = if cascade then "cascade" else algorithm in
-    let* solver = resolve CI.Active_slotted algorithm in
-    let* r =
-      run_solver solver
-        ?budget:(limited_budget budget)
-        ~obs
-        ~params:[ ("order", order); ("engine", lp_engine); ("pricing", lp_pricing) ]
-        (CI.Slotted inst)
-    in
-    note := r.CR.note;
-    let prov = provenance_json r.CR.provenance in
-    match r.CR.status with
-    | CR.Exhausted { spent } ->
-        Error (Fuel_exhausted (exhausted_message solver ~spent r.CR.objective))
-    | CR.Infeasible -> Ok ("infeasible", J.Null, bounds, prov)
-    | CR.Solved -> (
-        match (active_solution_of r.CR.witness, r.CR.objective) with
-        | Some sol, _ ->
-            let* () = verified inst sol in
-            Ok ("ok", J.Int (Active.Solution.cost sol), bounds, prov)
-        | None, Some obj -> Ok ("ok", objective_json obj, bounds, prov)
-        | None, None -> Ok ("ok", J.Null, bounds, prov))
-  in
-  let algorithm = if cascade then "cascade" else algorithm in
-  finish_json ~command:"active" ~algorithm:(Some algorithm)
-    ~warnings:(fun () -> !warnings)
-    ~instance:(fun () -> !instance_json)
-    ~message:(fun () -> !note)
-    obs result
+  o.note <- r.CR.note;
+  o.provenance <- r.CR.provenance;
+  let bounds = J.Obj [ ("mass", J.Int (S.mass_lower_bound inst)) ] in
+  match (r.CR.status, active_solution_of r.CR.witness, r.CR.objective) with
+  | CR.Exhausted { spent }, sol, incumbent ->
+      (match (incumbent, sol) with
+      | Some (CR.Slots c), Some sol ->
+          o.shown <-
+            Incumbent
+              ( Printf.sprintf
+                  "budget exhausted after %d ticks; best incumbent (cost %d, not proven optimal):"
+                  spent c,
+                sol )
+      | _ -> ());
+      Error (Fuel_exhausted { hint = solver.CS.exhausted_hint; spent; incumbent })
+  | CR.Infeasible, _, _ ->
+      o.shown <- Line "infeasible";
+      Ok ("infeasible", J.Null, bounds)
+  | CR.Solved, Some sol, _ ->
+      let* () = write_svg svg (fun () -> Render.slotted_svg inst sol) in
+      o.shown <- Schedule (inst, sol);
+      Ok ("ok", J.Int (Active.Solution.cost sol), bounds)
+  | CR.Solved, None, Some obj ->
+      (* bound-quality solvers witness no schedule *)
+      o.shown <- Line ("objective " ^ CR.objective_to_string obj);
+      Ok ("ok", CR.objective_to_json obj, bounds)
+  | CR.Solved, None, None -> Ok ("ok", J.Null, bounds)
 
 let active_solve path algorithm order lp_engine lp_pricing budget cascade render svg format verbose =
   setup_logs verbose;
-  match parse_format format with
-  | Error e -> finish (Error e)
-  | Ok `Text -> active_text path algorithm order lp_engine lp_pricing budget cascade render svg
-  | Ok `Json -> active_json path algorithm order lp_engine lp_pricing budget cascade svg
+  let algorithm = if cascade then "cascade" else algorithm in
+  run_command ~command:"active" ~algorithm ~render ~svg format
+    (active_body path algorithm order lp_engine lp_pricing budget svg)
 
 let budget_arg =
   Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"N" ~doc:"fuel budget in solver ticks (search nodes / simplex pivots)")
@@ -467,37 +430,23 @@ let active_cmd =
 
 (* ---------------------------------------------------------------- busy -- *)
 
-let print_packing ~g pinned packing render svg =
-  let* () =
-    match Busy.Bundle.check ~g pinned packing with
-    | None -> Ok ()
-    | Some problem -> Error (Internal ("invalid packing: " ^ problem))
-  in
-  Printf.printf "total busy time: %s on %d machines\n"
-    (Q.to_string (Busy.Bundle.total_busy packing))
-    (List.length packing);
-  Format.printf "%a" Busy.Bundle.pp packing;
-  if render then print_string (Render.packing packing);
-  let* () =
-    match svg with
-    | Some file ->
-        let* () = write_text_file file (Render.packing_svg packing) in
-        Printf.printf "wrote %s\n" file;
-        Ok ()
-    | None -> Ok ()
-  in
-  let report = Sim.run_packing ~g packing in
-  Printf.printf "energy %s, power-ons %d, peak %d, utilization %s\n"
-    (Q.to_string report.Sim.total_energy) report.Sim.total_switch_ons report.Sim.peak_parallelism
-    (Q.to_string report.Sim.utilization);
-  Ok ()
-
 let parse_placement = function
   | "greedy" -> Ok Busy.Pipeline.Greedy_placement
   | "exact" -> Ok Busy.Pipeline.Exact_placement
   | o -> Error (Usage ("unknown placement " ^ o ^ " (greedy|exact)"))
 
-let busy_packing_of = function Some (CR.Packing p) -> Some p | _ -> None
+let rational q = J.String (Q.to_string q)
+
+(* The Section-4.1 lower bounds on the pinned instance; span and demand
+   profile need interval jobs. *)
+let busy_bounds_json ~g pinned =
+  J.Obj
+    (("mass", rational (Busy.Bounds.mass ~g pinned))
+    ::
+    (if pinned <> [] && List.for_all B.is_interval pinned then
+       [ ("span", rational (Busy.Bounds.span pinned));
+         ("demand_profile", rational (Busy.Bounds.demand_profile ~g pinned)) ]
+     else []))
 
 (* Objective of a preemptive-model solver run on [jobs]. *)
 let preemptive_objective ?obs name ~g jobs =
@@ -507,128 +456,67 @@ let preemptive_objective ?obs name ~g jobs =
   | Some (CR.Busy q) -> Ok q
   | _ -> Error (Internal (name ^ " returned no objective"))
 
-(* Common busy prelude for the non-preemptive, non-empty path: place the
-   (possibly flexible) jobs, then resolve and run the interval solver on
-   the pinned instance. [--cascade] is sugar for the composite solver. *)
-let busy_run ?obs ~g algorithm placement_mode budget cascade jobs =
-  let pinned = Busy.Pipeline.place placement_mode jobs in
-  let algorithm = if cascade then "cascade" else algorithm in
-  let* solver = resolve CI.Busy_interval algorithm in
-  let* result =
-    run_solver solver ?budget:(limited_budget budget) ?obs (CI.Interval { g; jobs = pinned })
+(* The empty instance has busy time 0 and runs no solver; otherwise the
+   (possibly flexible) jobs are placed and the interval solver runs on
+   the pinned instance. [cost] is the packing's exact busy time. *)
+let busy_body path g algorithm placement preemptive budget svg ~parse ~obs o =
+  let* () = check_budget budget in
+  let* () = check_g g in
+  let* instance, warnings = load parse path in
+  o.warnings <- warnings;
+  let* jobs =
+    match instance with
+    | Io.Slotted_instance _ -> Error (Usage "busy expects a busy-time instance")
+    | Io.Busy_instance jobs -> Ok jobs
   in
-  Ok (pinned, solver, result)
-
-let busy_text path g algorithm placement preemptive budget cascade render svg =
-  finish
-    (let* () = check_budget budget in
-     let* instance = load path in
-     let* jobs =
-       match instance with
-       | Io.Slotted_instance _ -> Error (Usage "busy expects a busy-time instance")
-       | Io.Busy_instance jobs -> Ok jobs
-     in
-     if jobs = [] then Ok (print_endline "empty instance: busy time 0")
-     else if preemptive then
-       let* unbounded = preemptive_objective "preemptive-unbounded" ~g jobs in
-       let* bounded = preemptive_objective "preemptive" ~g jobs in
-       Ok
-         (Printf.printf "preemptive busy time: unbounded capacity %s, capacity %d: %s\n"
-            (Q.to_string unbounded) g (Q.to_string bounded))
-     else
-       let* placement_mode = parse_placement placement in
-       let* pinned, solver, r = busy_run ~g algorithm placement_mode budget cascade jobs in
-       print_provenance r.CR.provenance;
-       (match r.CR.note with Some n -> print_endline n | None -> ());
-       match r.CR.status with
-       | CR.Exhausted { spent } ->
-           (match r.CR.objective with
-           | Some obj ->
-               Printf.printf
-                 "budget exhausted after %d ticks; best incumbent %s (not proven optimal)\n" spent
-                 (objective_string obj)
-           | None -> ());
-           Error (Fuel_exhausted (solver.CS.exhausted_hint ^ "; try --cascade"))
-       | CR.Infeasible -> Error (Internal "cascade returned no packing")
-       | CR.Solved -> (
-           match busy_packing_of r.CR.witness with
-           | Some packing -> print_packing ~g pinned packing render svg
-           | None -> Error (Internal (solver.CS.name ^ " returned no packing"))))
-
-(* JSON twin of [busy_text]. Bounds are the Section-4.1 lower bounds on
-   the pinned instance; [cost] is the packing's total busy time as an
-   exact rational string. *)
-let busy_json path g algorithm placement preemptive budget cascade svg =
-  let obs = Obs.create () in
-  let instance_json = ref J.Null in
-  let note = ref None in
-  let q = J.(fun v -> String (Q.to_string v)) in
-  let bounds_json pinned =
-    J.Obj
-      (( "mass", q (Busy.Bounds.mass ~g pinned) )
-      ::
-      (if pinned <> [] && List.for_all B.is_interval pinned then
-         [ ("span", q (Busy.Bounds.span pinned));
-           ("demand_profile", q (Busy.Bounds.demand_profile ~g pinned)) ]
-       else []))
-  in
-  let checked pinned packing =
-    match Busy.Bundle.check ~g pinned packing with
-    | None -> (
-        match svg with
-        | Some file -> write_text_file file (Render.packing_svg packing)
-        | None -> Ok ())
-    | Some problem -> Error (Internal ("invalid packing: " ^ problem))
-  in
-  let warnings = ref [] in
-  let result =
-    let* () = check_budget budget in
-    let* instance, warns = load_lenient path in
-    warnings := warns;
-    let* jobs =
-      match instance with
-      | Io.Slotted_instance _ -> Error (Usage "busy expects a busy-time instance")
-      | Io.Busy_instance jobs -> Ok jobs
+  o.instance <- lazy (busy_instance_json ~g jobs);
+  if jobs = [] then begin
+    o.shown <- Line "empty instance: busy time 0";
+    Ok ("ok", rational Q.zero, busy_bounds_json ~g [])
+  end
+  else if preemptive then begin
+    let* unbounded = preemptive_objective ?obs "preemptive-unbounded" ~g jobs in
+    let* bounded = preemptive_objective ?obs "preemptive" ~g jobs in
+    o.shown <-
+      Line
+        (Printf.sprintf "preemptive busy time: unbounded capacity %s, capacity %d: %s"
+           (Q.to_string unbounded) g (Q.to_string bounded));
+    let bounds =
+      J.Obj
+        [ ("mass", rational (Busy.Bounds.mass ~g jobs)); ("preemptive_unbounded", rational unbounded) ]
     in
-    instance_json := busy_instance_json ~g jobs;
-    if jobs = [] then Ok ("ok", q Q.zero, bounds_json [], J.Null)
-    else if preemptive then
-      let* unbounded = preemptive_objective ~obs "preemptive-unbounded" ~g jobs in
-      let* bounded = preemptive_objective ~obs "preemptive" ~g jobs in
-      let bounds =
-        J.Obj [ ("mass", q (Busy.Bounds.mass ~g jobs)); ("preemptive_unbounded", q unbounded) ]
-      in
-      Ok ("ok", q bounded, bounds, J.Null)
-    else
-      let* placement_mode = parse_placement placement in
-      let* pinned, solver, r = busy_run ~obs ~g algorithm placement_mode budget cascade jobs in
-      note := r.CR.note;
-      let prov = provenance_json r.CR.provenance in
-      match r.CR.status with
-      | CR.Exhausted { spent } ->
-          Error (Fuel_exhausted (exhausted_message solver ~spent r.CR.objective))
-      | CR.Infeasible -> Error (Internal "cascade returned no packing")
-      | CR.Solved -> (
-          match busy_packing_of r.CR.witness with
-          | Some packing ->
-              let* () = checked pinned packing in
-              Ok ("ok", q (Busy.Bundle.total_busy packing), bounds_json pinned, prov)
-          | None -> Error (Internal (solver.CS.name ^ " returned no packing")))
-  in
-  let algorithm =
-    if preemptive then "preemptive" else if cascade then "cascade" else algorithm
-  in
-  finish_json ~command:"busy" ~algorithm:(Some algorithm)
-    ~warnings:(fun () -> !warnings)
-    ~instance:(fun () -> !instance_json)
-    ~message:(fun () -> !note)
-    obs result
+    Ok ("ok", rational bounded, bounds)
+  end
+  else
+    let* placement_mode = parse_placement placement in
+    let pinned = Busy.Pipeline.place placement_mode jobs in
+    let* solver = resolve CI.Busy_interval algorithm in
+    let* r = run_solver solver ?budget ?obs (CI.Interval { g; jobs = pinned }) in
+    o.note <- r.CR.note;
+    o.provenance <- r.CR.provenance;
+    match (r.CR.status, r.CR.witness) with
+    | CR.Exhausted { spent }, _ ->
+        Option.iter
+          (fun obj ->
+            o.shown <-
+              Line
+                (Printf.sprintf
+                   "budget exhausted after %d ticks; best incumbent %s (not proven optimal)" spent
+                   (CR.objective_to_string obj)))
+          r.CR.objective;
+        Error
+          (Fuel_exhausted { hint = solver.CS.exhausted_hint; spent; incumbent = r.CR.objective })
+    | CR.Infeasible, _ -> Error (Internal "cascade returned no packing")
+    | CR.Solved, Some (CR.Packing packing) ->
+        let* () = write_svg svg (fun () -> Render.packing_svg packing) in
+        o.shown <- Packing (g, packing);
+        Ok ("ok", rational (Busy.Bundle.total_busy packing), busy_bounds_json ~g pinned)
+    | CR.Solved, _ -> Error (Internal (solver.CS.name ^ " returned no packing"))
 
 let busy_solve path g algorithm placement preemptive budget cascade render svg format =
-  match parse_format format with
-  | Error e -> finish (Error e)
-  | Ok `Text -> busy_text path g algorithm placement preemptive budget cascade render svg
-  | Ok `Json -> busy_json path g algorithm placement preemptive budget cascade svg
+  let algorithm = if preemptive then "preemptive" else if cascade then "cascade" else algorithm in
+  run_command ~command:"busy" ~algorithm ~render ~svg format
+    (busy_body path g algorithm placement preemptive budget svg)
 
 let busy_cmd =
   let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
@@ -652,7 +540,8 @@ let bounds path g lp_engine lp_pricing =
   finish
     (let* engine = resolve_lp_engine lp_engine in
      let* pricing = resolve_lp_pricing lp_pricing in
-     let* instance = load path in
+     let* () = check_g g in
+     let* instance = load (fun p -> Ok (Io.parse_file p)) path in
      match instance with
      | Io.Slotted_instance inst ->
          Printf.printf "slotted instance: n=%d T=%d g=%d\n" (S.num_jobs inst) (S.horizon inst) inst.S.g;
@@ -687,11 +576,6 @@ let bounds_cmd =
 (* Rolling-horizon replay: the trace (slotted directly, busy converted
    through [Sim.Rolling.of_busy]) is re-solved epoch by epoch on a warm
    [Core.Session]; see lib/sim/rolling.mli for the loop semantics. *)
-
-let load_timed path =
-  try Ok (Io.parse_file_timed path) with
-  | Io.Parse_error (line, msg) -> Error (Usage (Printf.sprintf "%s:%d: %s" path line msg))
-  | Sys_error msg -> Error (Usage msg)
 
 let sim_config algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold =
   let* lp_pricing = resolve_lp_pricing lp_pricing in
@@ -728,74 +612,32 @@ let sim_config algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms
       warm = not cold;
     }
 
-let sim_run ?obs path g algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold =
+(* The trace parses strictly in both formats (arrival times need the
+   timed parse); the instance is reported only once the run finished. *)
+let sim_body path g algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold svg
+    ~parse:_ ~obs o =
   let* config = sim_config algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold in
-  let* () = if g >= 1 then Ok () else Error (Usage "--g must be at least 1") in
-  let* instance, arrivals = load_timed path in
+  let* () = check_g g in
+  let* instance, arrivals = load (fun p -> Ok (Io.parse_file_timed p)) path in
   let* inst =
     match instance with
     | Io.Slotted_instance inst -> Ok inst
     | Io.Busy_instance jobs -> (
         try Ok (Sim.Rolling.of_busy ~g jobs) with Invalid_argument msg -> Error (Usage msg))
   in
-  match Sim.Rolling.run ?obs ~config ~arrivals inst with
-  | r -> Ok (inst, r)
-  | exception CS.Unsupported msg -> Error (Unknown_solver msg)
-
-let write_epochs_svg svg r =
-  match svg with
-  | Some file ->
-      let* () = write_text_file file (Render.epochs_svg r) in
-      Ok (Some file)
-  | None -> Ok None
-
-let sim_text path g algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold svg =
-  finish
-    (let* _, r = sim_run path g algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold in
-     Format.printf "%a" Sim.Rolling.pp r;
-     let* written = write_epochs_svg svg r in
-     Option.iter (Printf.printf "wrote %s\n") written;
-     Ok ())
-
-let sim_json path g algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold svg =
-  let obs = Obs.create () in
-  let result =
-    let* inst, r = sim_run ~obs path g algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold in
-    let* _ = write_epochs_svg svg r in
-    Ok (inst, r)
+  let* r =
+    match Sim.Rolling.run ?obs ~config ~arrivals inst with
+    | r -> Ok r
+    | exception CS.Unsupported msg -> Error (Unknown_solver msg)
   in
-  match result with
-  | Ok (inst, r) ->
-      let body =
-        match Sim.Rolling.to_json r with
-        | J.Obj fields -> List.filter (fun (k, _) -> k <> "schema") fields
-        | other -> [ ("run", other) ]
-      in
-      let doc =
-        J.Obj
-          ([ ("schema", J.Int 1);
-             ("tool", J.String "atbt");
-             ("version", J.String version);
-             ("command", J.String "sim");
-             ("status", J.String "ok");
-             ("exit", J.Int 0);
-             ("instance", slotted_instance_json inst) ]
-          @ body
-          @ [ ("counters", Obs.counters_to_json obs) ])
-      in
-      print_endline (J.to_string doc);
-      0
-  | Error f ->
-      finish_json ~command:"sim" ~algorithm:(Some algorithm)
-        ~instance:(fun () -> J.Null)
-        ~message:(fun () -> None)
-        obs (Error f)
+  let* () = write_svg svg (fun () -> Render.epochs_svg r) in
+  o.instance <- lazy (slotted_instance_json inst);
+  o.shown <- Rolling r;
+  Ok ("ok", J.Null, J.Null)
 
 let sim_solve path g algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold svg format =
-  match parse_format format with
-  | Error e -> finish (Error e)
-  | Ok `Text -> sim_text path g algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold svg
-  | Ok `Json -> sim_json path g algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold svg
+  run_command ~command:"sim" ~algorithm ~render:false ~svg format
+    (sim_body path g algorithm lp_pricing epoch_len lookahead epoch_budget deadline_ms cold svg)
 
 let sim_cmd =
   let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
@@ -891,7 +733,7 @@ let serve_cmd =
 (* One line per registered solver, deterministically ordered by
    (kind, name), then one per registered LP engine (--lp-engine values;
    every engine returns exact results, so QUALITY is exact throughout);
-   CI diffs this against test/list_solvers.golden. *)
+   test/cli.t diffs this against test/list_solvers.golden. *)
 let list_solvers () =
   Printf.printf "%-16s %-20s %-11s %-24s %s\n" "KIND" "NAME" "QUALITY" "FLAGS" "PAPER";
   List.iter

@@ -34,7 +34,7 @@ val check : Workload.Bjob.t list -> solution -> string option
 val lp_optimum : ?engine:Lp.engine -> Workload.Bjob.t list -> Rational.t
 
 (** The event-grid LP behind {!lp_optimum}, as a bare model (objective
-    [min sum y_c]); exposed so the engine bench (experiment E21) can
+    [min sum y_c]); exposed so the bench [lp] experiment can
     solve one model under each engine and read the pivot/tableau
     telemetry. *)
 val lp_model : Workload.Bjob.t list -> Lp.model

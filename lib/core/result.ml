@@ -4,6 +4,10 @@ let objective_to_string = function
   | Slots n -> string_of_int n
   | Busy q | Value q -> Rational.to_string q
 
+let objective_to_json = function
+  | Slots n -> Obs.Json.Int n
+  | (Busy _ | Value _) as o -> Obs.Json.String (objective_to_string o)
+
 type witness =
   | Opened of { open_slots : int list; schedule : Workload.Slotted.schedule }
   | Packing of Workload.Bjob.t list list
@@ -17,6 +21,10 @@ type t = {
   note : string option;
   provenance : objective Budget.Cascade.provenance option;
 }
+
+let provenance_to_json = function
+  | None -> Obs.Json.Null
+  | Some p -> Budget.Cascade.provenance_to_json ~cost_to_json:objective_to_json p
 
 let solved ?note ?provenance ?witness objective =
   { status = Solved; objective = Some objective; witness; note; provenance }

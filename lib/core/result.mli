@@ -14,6 +14,10 @@ type objective = Slots of int | Busy of Rational.t | Value of Rational.t
 (** [Slots n] prints as the int, the rationals via {!Rational.to_string}. *)
 val objective_to_string : objective -> string
 
+(** [Slots n] as a JSON int, the rationals as exact JSON strings — the
+    ["cost"] of the CLI document, the serve response and each sim epoch. *)
+val objective_to_json : objective -> Obs.Json.t
+
 (** A schedule the model's verifier can check: the open-slot set plus
     job assignment of an active-time solution, or a busy-time packing
     (bundles of interval jobs). Bound-only solvers return no witness. *)
@@ -35,6 +39,10 @@ type t = {
   note : string option;  (** e.g. the structure detected by [auto] *)
   provenance : objective Budget.Cascade.provenance option;
 }
+
+(** A composite solver's provenance as JSON ({!Budget.Cascade.provenance_to_json}
+    with {!objective_to_json} costs); [None] is [null]. *)
+val provenance_to_json : objective Budget.Cascade.provenance option -> Obs.Json.t
 
 val solved :
   ?note:string ->

@@ -149,7 +149,7 @@ let finish_objective m raw = match m.obj_dir with Minimize -> raw | Maximize -> 
 (* Dense engine: two-phase primal simplex on a dense rational tableau     *)
 (* with every upper bound expanded into an explicit Le row. Kept as the   *)
 (* reference implementation for the sparse engine's observational-        *)
-(* equivalence battery (prop_engines_agree, fuzz differential, e21).      *)
+(* equivalence battery (prop_engines_agree, fuzz differential, bench lp). *)
 (* ====================================================================== *)
 
 type tableau = {
@@ -770,7 +770,7 @@ exception Certify_failed
    BTRAN), check every basic value against its bounds and every nonbasic
    reduced cost against its status, and recompute the objective from the
    certified vertex. Cost is counted in [ops] (rational
-   multiplications/divisions actually performed — the e23 work metric);
+   multiplications/divisions actually performed — the bench [lp] work metric);
    raises [Certify_failed] on any violation. *)
 let certify ~ops m ~vstat ~sstat =
   let nv = m.nvars and nr = m.nrows in

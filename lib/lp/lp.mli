@@ -262,7 +262,7 @@ val pivots : solution -> int
     / eta / pricing multiplications for the sparse engine,
     and float cells plus exact certification operations for the float
     engine. This is the bench's engine-comparable measure of simplex
-    work (experiments E21/E23/E24); before 1.8.0 it reported the static
+    work (the bench [lp] experiment); before 1.8.0 it reported the static
     tableau area instead. *)
 val tableau_cells : solution -> int
 

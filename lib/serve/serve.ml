@@ -18,7 +18,6 @@ module CR = Core.Result
 module CS = Core.Solver
 module Io = Workload.Io
 module Q = Rational
-module B = Workload.Bjob
 
 type config = {
   domains : int;
@@ -111,13 +110,21 @@ end
 
 (* ------------------------------------------------------------ solving -- *)
 
-let objective_json = function
-  | CR.Slots n -> J.Int n
-  | CR.Busy q | CR.Value q -> J.String (Q.to_string q)
-
-let provenance_json = function
-  | None -> J.Null
-  | Some p -> Budget.Cascade.provenance_to_json ~cost_to_json:objective_json p
+(* The one checked dispatch, shared with the CLI (see serve.mli). *)
+let run_checked (solver : CS.t) ?budget ?obs ?params (inst : CI.t) =
+  let r = solver.CS.solve ?budget ?obs ?params inst in
+  let reject what = function
+    | None -> ()
+    | Some problem -> raise (CS.Bad_result (what ^ problem))
+  in
+  (match (r.CR.status, r.CR.witness, inst) with
+  | CR.Solved, Some (CR.Opened { open_slots; schedule }), CI.Slotted slotted ->
+      reject "invalid solution: "
+        (Active.Solution.verify slotted { Active.Solution.open_slots; schedule })
+  | CR.Solved, Some (CR.Packing packing), CI.Interval { g; jobs } ->
+      reject "invalid packing: " (Busy.Bundle.check ~g jobs packing)
+  | _ -> ());
+  r
 
 let degraded_provenance = function
   | None -> false
@@ -125,48 +132,6 @@ let degraded_provenance = function
       List.exists
         (fun (a : Budget.Cascade.attempt) -> a.Budget.Cascade.status = Budget.Cascade.Tier_exhausted)
         p.Budget.Cascade.attempts
-
-(* Run the registered solver for [req], verifying any witness it
-   returns. Raises (Unsupported, Bad_result, Deadline_exceeded,
-   Injected_fault, or a genuine solver bug) — the caller isolates. *)
-let solve_request cfg (req : Protocol.request) budget =
-  if Inject.should_crash cfg.inject then
-    raise (Inject.Injected_fault "injected worker crash");
-  match req.Protocol.command with
-  | Protocol.Active ->
-      let inst =
-        match req.Protocol.instance with
-        | Io.Slotted_instance inst -> inst
-        | Io.Busy_instance _ -> assert false (* decode inferred the command *)
-      in
-      let solver = Core.Registry.find_exn CI.Active_slotted req.Protocol.algorithm in
-      let r = solver.CS.solve ~budget ~params:req.Protocol.params (CI.Slotted inst) in
-      (match (r.CR.status, r.CR.witness) with
-      | CR.Solved, Some (CR.Opened { open_slots; schedule }) -> (
-          match Active.Solution.verify inst { Active.Solution.open_slots; schedule } with
-          | None -> ()
-          | Some problem -> raise (CS.Bad_result ("invalid solution: " ^ problem)))
-      | _ -> ());
-      (solver, r)
-  | Protocol.Busy ->
-      let jobs =
-        match req.Protocol.instance with
-        | Io.Busy_instance jobs -> jobs
-        | Io.Slotted_instance _ -> assert false
-      in
-      let pinned = Busy.Pipeline.place Busy.Pipeline.Greedy_placement jobs in
-      let solver = Core.Registry.find_exn CI.Busy_interval req.Protocol.algorithm in
-      let r =
-        solver.CS.solve ~budget ~params:req.Protocol.params
-          (CI.Interval { g = req.Protocol.g; jobs = pinned })
-      in
-      (match (r.CR.status, r.CR.witness) with
-      | CR.Solved, Some (CR.Packing packing) -> (
-          match Busy.Bundle.check ~g:req.Protocol.g pinned packing with
-          | None -> ()
-          | Some problem -> raise (CS.Bad_result ("invalid packing: " ^ problem)))
-      | _ -> ());
-      (solver, r)
 
 (* Map a finished solve onto a response core. [deadline_hit] is the
    probe's flag: when it fired, the answer (whatever shape the unwinding
@@ -185,7 +150,7 @@ let core_of_result (req : Protocol.request) budget ~deadline_hit (solver : CS.t)
           0 p.Budget.Cascade.attempts
     | _ -> Budget.spent budget
   in
-  let prov = provenance_json r.CR.provenance in
+  let prov = CR.provenance_to_json r.CR.provenance in
   let mk status cost message =
     { Protocol.status; algorithm_used; instance_json; cost; message; provenance = prov; ticks }
   in
@@ -198,14 +163,14 @@ let core_of_result (req : Protocol.request) budget ~deadline_hit (solver : CS.t)
   else
     match r.CR.status with
     | CR.Solved ->
-        let cost = match r.CR.objective with Some o -> objective_json o | None -> J.Null in
+        let cost = match r.CR.objective with Some o -> CR.objective_to_json o | None -> J.Null in
         let status = if degraded_provenance r.CR.provenance then "degraded" else "ok" in
         mk status cost r.CR.note
     | CR.Infeasible -> mk "infeasible" J.Null r.CR.note
     | CR.Exhausted { spent } -> (
         match r.CR.objective with
         | Some obj ->
-            mk "degraded" (objective_json obj)
+            mk "degraded" (CR.objective_to_json obj)
               (Some
                  (Printf.sprintf "%s after %d ticks; best incumbent kept"
                     solver.CS.exhausted_hint spent))
@@ -303,7 +268,22 @@ let handle cfg stats cache ~arrival (req : Protocol.request) =
       let core =
         if is_empty_busy then empty_busy_core req
         else
-          match Parallel.Pool.run_isolated (fun () -> solve_request cfg req budget) with
+          let solve () =
+            if Inject.should_crash cfg.inject then
+              raise (Inject.Injected_fault "injected worker crash");
+            (* the command agrees with the instance: decode inferred or
+               checked it; busy requests are placed greedily *)
+            let kind, inst =
+              match req.Protocol.instance with
+              | Io.Slotted_instance inst -> (CI.Active_slotted, CI.Slotted inst)
+              | Io.Busy_instance jobs ->
+                  let jobs = Busy.Pipeline.place Busy.Pipeline.Greedy_placement jobs in
+                  (CI.Busy_interval, CI.Interval { g = req.Protocol.g; jobs })
+            in
+            let solver = Core.Registry.find_exn kind req.Protocol.algorithm in
+            (solver, run_checked solver ~budget ~params:req.Protocol.params inst)
+          in
+          match Parallel.Pool.run_isolated solve with
           | Ok (solver, r) -> core_of_result req budget ~deadline_hit:!deadline_hit solver r
           | Error Budget.Deadline_exceeded -> timeout_core req budget
           | Error exn ->

@@ -60,6 +60,26 @@ type config = {
   sleep : float -> unit;  (** how injected delays wait — overridable *)
 }
 
+(** [run_checked solver inst] runs a resolved solver on [inst] and checks
+    the witness of a [Solved] result against that same instance: an
+    active-time schedule with {!Active.Solution.verify}, a busy-time
+    packing of an [Interval] instance with {!Busy.Bundle.check}. A
+    witness that fails its check raises {!Core.Solver.Bad_result}
+    (["invalid solution: ..."] / ["invalid packing: ..."]); an exhausted
+    run's incumbent is returned unchecked, as are witnesses of the
+    flexible and preemptive models. The daemon and the [atbt active] /
+    [atbt busy] commands all solve through this one function; each
+    resolves its own solver names and places flexible jobs itself.
+    Solver exceptions ({!Core.Solver.Unsupported}, budget deadlines)
+    propagate. *)
+val run_checked :
+  Core.Solver.t ->
+  ?budget:Budget.t ->
+  ?obs:Obs.t ->
+  ?params:(string * string) list ->
+  Core.Instance.t ->
+  Core.Result.t
+
 (** domains = {!Parallel.Pool.default_domains}, queue 64, default budget
     [Some 500_000], cache 1024, basis cache 64, no injection, no timing,
     real clock. *)

@@ -455,10 +455,6 @@ let pp fmt (r : run) =
         (if rep.Replay.violations = [] then "ok" else "VIOLATIONS")
   | None -> Format.fprintf fmt "replay: skipped (%d missed jobs)@." r.total_misses
 
-let objective_to_json : CR.objective -> Obs.Json.t = function
-  | CR.Slots n -> Obs.Json.Int n
-  | CR.Busy q | CR.Value q -> Obs.Json.String (Q.to_string q)
-
 let to_json (r : run) : Obs.Json.t =
   let open Obs.Json in
   let epoch_to_json e =
@@ -480,10 +476,7 @@ let to_json (r : run) : Obs.Json.t =
         ("lp_work", Int e.lp_work);
         ("warm_hits", Int e.warm_hits);
         ("degraded", Bool e.degraded);
-        ( "provenance",
-          match e.provenance with
-          | Some p -> Cascade.provenance_to_json ~cost_to_json:objective_to_json p
-          | None -> Null );
+        ("provenance", CR.provenance_to_json e.provenance);
       ]
   in
   Obj

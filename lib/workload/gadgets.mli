@@ -41,8 +41,9 @@ val bb_hard : g:int -> groups:int -> width:int -> Slotted.t
     inside its block and the only containments are the nestings within
     one block — so growing [blocks] or [width] grows the program without
     growing any basis column. Built to make the dense-vs-sparse simplex
-    work asymptotics visible (bench E24). Raises [Invalid_argument]
-    unless [g >= 1], [blocks >= 1], [width >= 2]. *)
+    work asymptotics visible (the [wide] family of the bench [lp]
+    experiment). Raises [Invalid_argument] unless [g >= 1],
+    [blocks >= 1], [width >= 2]. *)
 val sparse_wide : g:int -> blocks:int -> width:int -> Slotted.t
 
 (** The exact LP1 optimum of [sparse_wide ~g ~blocks ~width], namely
@@ -59,8 +60,8 @@ val sparse_wide_lp_opt : g:int -> blocks:int -> Rational.t
     dense — every demand row touches every slot — so each simplex
     iteration chooses among many structurally similar columns, which is
     where the pricing policy (not sparsity) decides the pivot count
-    (bench E26). Raises [Invalid_argument] unless [g >= 1],
-    [jobs >= g], [length >= 1]. *)
+    (the [tall] family of the bench [lp] experiment). Raises
+    [Invalid_argument] unless [g >= 1], [jobs >= g], [length >= 1]. *)
 val lp1_tall : g:int -> jobs:int -> length:int -> Slotted.t
 
 (** The exact LP1 optimum of [lp1_tall ~g ~jobs ~length], namely the

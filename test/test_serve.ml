@@ -406,6 +406,63 @@ let test_serve_injected_stream () =
   Alcotest.(check bool) "corruption actually injected" true
     (match counter "serve.injected_corruptions" with Some n -> n > 0 | None -> false)
 
+(* ------------------------------------------------- checked dispatch -- *)
+
+module CI = Core.Instance
+module CR = Core.Result
+
+(* A registered solver's real answer, then a stub that returns it with
+   its witness swapped: [run_checked] must reject the broken witness of
+   a solved result and pass an exhausted run's incumbent through. *)
+let solved kind name inst = (Core.Registry.find_exn kind name).Core.Solver.solve inst
+
+let stub kind result =
+  Core.Solver.make ~name:"stub" ~kind ~quality:Core.Solver.Exact ~paper:"-" ~impl:"test"
+    ~solve:(fun ?budget:_ ?obs:_ ?params:_ _ -> result)
+    ()
+
+let bad_result_prefix f =
+  match f () with
+  | _ -> Alcotest.fail "expected Bad_result"
+  | exception Core.Solver.Bad_result msg -> String.sub msg 0 (String.index msg ':')
+
+let test_run_checked_slotted () =
+  let inst =
+    match Io.parse_string slotted_text with
+    | Io.Slotted_instance s -> CI.Slotted s
+    | Io.Busy_instance _ -> Alcotest.fail "expected a slotted instance"
+  in
+  let r = solved CI.Active_slotted "minimal" inst in
+  Alcotest.(check bool) "a valid schedule passes unchanged" true
+    (Serve.run_checked (stub CI.Active_slotted r) inst == r);
+  let unopened =
+    match r.CR.witness with
+    | Some (CR.Opened { schedule; _ }) -> CR.Opened { open_slots = []; schedule }
+    | _ -> Alcotest.fail "minimal returned no schedule"
+  in
+  Alcotest.(check string) "a schedule in closed slots is rejected" "invalid solution"
+    (bad_result_prefix (fun () ->
+         Serve.run_checked (stub CI.Active_slotted { r with CR.witness = Some unopened }) inst));
+  let exhausted = CR.exhausted ?objective:r.CR.objective ~witness:unopened ~spent:3 () in
+  Alcotest.(check bool) "an exhausted incumbent is not checked" true
+    (Serve.run_checked (stub CI.Active_slotted exhausted) inst == exhausted)
+
+let test_run_checked_packing () =
+  let jobs =
+    match Io.parse_string busy_text with
+    | Io.Busy_instance jobs -> jobs
+    | Io.Slotted_instance _ -> Alcotest.fail "expected a busy instance"
+  in
+  let inst = CI.Interval { g = 2; jobs } in
+  let r = solved CI.Busy_interval "greedy-tracking" inst in
+  Alcotest.(check bool) "a valid packing passes unchanged" true
+    (Serve.run_checked (stub CI.Busy_interval r) inst == r);
+  Alcotest.(check string) "a packing that drops jobs is rejected" "invalid packing"
+    (bad_result_prefix (fun () ->
+         Serve.run_checked
+           (stub CI.Busy_interval { r with CR.witness = Some (CR.Packing []) })
+           inst))
+
 let () =
   Alcotest.run "serve"
     [ ( "bqueue",
@@ -438,5 +495,8 @@ let () =
           Alcotest.test_case "overload sheds, answers all" `Quick test_serve_overload_sheds;
           Alcotest.test_case "memoized repeat" `Quick test_serve_memoization;
           Alcotest.test_case "warm-basis cache" `Quick test_serve_basis_cache ] );
+      ( "checked dispatch",
+        [ Alcotest.test_case "schedule verified" `Quick test_run_checked_slotted;
+          Alcotest.test_case "packing checked" `Quick test_run_checked_packing ] );
       ( "acceptance",
         [ Alcotest.test_case "500-request injected stream" `Slow test_serve_injected_stream ] ) ]
